@@ -21,6 +21,11 @@ with s_i = gain[i] * g(t)**(e*i) and
 (the mu terms in the robust construction only).  Time partials follow
 by carrying (dP/dt, dq/dt, dr/dt) along, using ds_i/dt from
 ``GainFunction.power_jet``; the cost grows linearly with the order.
+The coefficients depend on t alone, so the recursion runs once per
+time instant: a chain keeps the last instant's coefficients and reuses
+them for every state evaluated at that instant, which leaves one
+matrix-vector product per level, plus one for the time partial, for
+each further state.
 
 Any other oracle (``PolynomialBarrier``, a user callable) takes the
 lifted path: the recursion re-lifts its inputs at every level through
@@ -221,7 +226,11 @@ class BarrierChain:
     constant shapes the margin subtracted when forming level i+1, and
     the last one shapes the filter constraint's margin.  The robust
     flag comes from the gain schedule; the unperturbed construction
-    ignores ``disturbance_bound`` (it must be 0 there).
+    ignores ``disturbance_bound`` (it must be 0 there).  The one thing
+    a chain stores after construction is the closed-form coefficients
+    at the last time it was evaluated at; they follow from the
+    construction arguments and that time alone, so no result depends
+    on the order of calls.
     """
 
     def __init__(
@@ -262,6 +271,15 @@ class BarrierChain:
                 f"barrier oracle is only C^{declared}; chain of order {n} "
                 f"needs at least C^{n}"
             )
+        if isinstance(oracle, PolynomialBarrier):
+            reads = 1 + max(
+                (j for _, factors in oracle.terms for j, _ in factors), default=-1
+            )
+            if reads > system.dim:
+                raise DimensionError(
+                    f"polynomial barrier reads x{reads}, state has only "
+                    f"{system.dim} entries"
+                )
         self.system = system
         self.oracle = oracle
         self.schedule = schedule
@@ -274,6 +292,8 @@ class BarrierChain:
         # level 1 as (P, q, r) for quadratic oracles; None selects the lifted path
         form = getattr(oracle, "quadratic_form", None)
         self._level1 = None if form is None else form(system.dim)
+        self._shift = np.eye(system.dim, k=system.axes)  # the drift A
+        self._instant = (None, [])  # (t, _coefficients at t)
 
     @property
     def order(self) -> int:
@@ -314,22 +334,21 @@ class BarrierChain:
 
     # -- closed-form evaluation of quadratic chains ---------------------
 
-    def _closed_form(self, i, x, t):
-        """Levels 1..i over a quadratic oracle, by the (P, q, r) recursion.
+    def _coefficients(self, i, t):
+        """(P, q, r, dP/dt, dq/dt, dr/dt) of levels 1..i (at least) at t.
 
-        Returns the level values and level i's spatial gradient and time
-        partial.  Each step also carries the time derivatives of
-        (P, q, r), so the time partial needs no extra pass.
+        They depend on t alone, so the last instant's list is kept and
+        reused, and extended when a higher level is asked for, while t
+        is unchanged.  The list is stored only once every level it holds
+        is computed, so a time the gain rejects raises on every call.
         """
-        a = np.eye(self.dim, k=self.axes)  # the shift drift A
-        p, q, r = self._level1
-        p_dot, q_dot, r_dot = np.zeros_like(p), np.zeros_like(q), 0.0
-        values = []
-        for k in range(1, i + 1):
-            grad = p @ x + q
-            values.append(0.5 * float(x @ (grad + q)) + r)
-            if k == i:
-                break
+        cached_t, levels = self._instant
+        if cached_t != t:
+            p, q, r = self._level1
+            levels = [(p, q, r, np.zeros_like(p), np.zeros_like(q), 0.0)]
+        a = self._shift
+        for k in range(len(levels), i):
+            p, q, r, p_dot, q_dot, r_dot = levels[-1]
             s_val, s_dot = self.gain_function.power_jet(self._exponents[k - 1], t)
             rho = self.schedule.levels[k - 1]
             s_val, s_dot = rho * s_val, rho * s_dot
@@ -349,8 +368,24 @@ class BarrierChain:
                 q_dot_next -= (p_dot @ q + p @ q_dot) / (2.0 * mu)
                 r_next -= float(q @ q) / (4.0 * mu) + mu * self._bound_sq
                 r_dot_next -= float(q @ q_dot) / (2.0 * mu)
-            p, q, r = p_next, q_next, r_next
-            p_dot, q_dot, r_dot = p_dot_next, q_dot_next, r_dot_next
+            levels = levels + [
+                (p_next, q_next, r_next, p_dot_next, q_dot_next, r_dot_next)
+            ]
+        self._instant = (t, levels)
+        return levels
+
+    def _closed_form(self, i, x, t):
+        """Levels 1..i over a quadratic oracle, from the coefficients at t.
+
+        Returns the level values and level i's spatial gradient and time
+        partial; every returned array is freshly computed from x.
+        """
+        levels = self._coefficients(i, t)
+        values = []
+        for p, q, r, *_ in levels[:i]:
+            grad = p @ x + q
+            values.append(0.5 * float(x @ (grad + q)) + r)
+        _, _, _, p_dot, q_dot, r_dot = levels[i - 1]
         tp = 0.5 * float(x @ (p_dot @ x)) + float(q_dot @ x) + r_dot
         return values, grad, tp
 

@@ -246,7 +246,7 @@ def _parse_sinusoid_terms(raw, line, name):
 _MONOMIAL_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?$")
 
 
-def _parse_polynomial_terms(raw, line):
+def _parse_polynomial_terms(raw, line, dim):
     terms = []
     for part in raw.split("+"):
         tokens = part.split()
@@ -270,6 +270,11 @@ def _parse_polynomial_terms(raw, line):
             index = int(match.group(1))
             if index < 1:
                 raise ConfigError("state indices are 1-based", line=line)
+            if index > dim:
+                raise ConfigError(
+                    f"bad monomial factor {tok!r}; the state is x1..x{dim}",
+                    line=line,
+                )
             power = int(match.group(2) or 1)
             factors.append((index - 1, power))
         terms.append((coeff, tuple(factors)))
@@ -354,7 +359,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if terms_raw is None:
                 raise ConfigError("polynomial barrier needs a 'terms' key")
             oracle = PolynomialBarrier(
-                terms=_parse_polynomial_terms(terms_raw, terms_line)
+                terms=_parse_polynomial_terms(terms_raw, terms_line, order * axes)
             )
     except ConfigError:
         raise

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from . import autodiff
 from .errors import DomainError, ParameterError, UnsafeInitializationError
 
@@ -34,7 +32,9 @@ class GainFunction:
     """Base for the strictly increasing gain kinds.
 
     ``value`` accepts duck scalars (plain floats or lifted autodiff
-    numbers) so callers can differentiate through it.  Subclasses with a
+    numbers) so callers can differentiate through it; each kind also
+    gives its time derivative in closed form (``_slope``), from which
+    ``power_jet`` forms the derivative of a power.  Subclasses with a
     closed-form antiderivative override ``power_integral``; the base
     implementation falls back to adaptive quadrature at relative
     tolerance 1e-10.
@@ -49,11 +49,15 @@ class GainFunction:
     def value(self, t):
         raise NotImplementedError
 
+    def _slope(self, t, v):
+        """Time derivative of the gain at float t, where v = value(t)."""
+        raise NotImplementedError
+
     def power_jet(self, k: float, t: float) -> tuple[float, float]:
         """value and time derivative of ``value(t)**k``."""
-        (seed,) = autodiff.lift_first([float(t)])
-        y = self.value(seed) ** k
-        return autodiff.unwrap(y.value), autodiff.unwrap(y.grad[0])
+        t = float(t)
+        v = self.value(t)
+        return v**k, k * v ** (k - 1) * self._slope(t, v)
 
     def _check_span(self, k, t0, t):
         if k <= 0.0:
@@ -72,6 +76,8 @@ class GainFunction:
         self._check_span(k, t0, t)
         if t == t0:
             return 0.0
+        from scipy.integrate import quad  # slow to import; only needed here
+
         result, _ = quad(lambda s: self.value(s) ** k, t0, t, epsrel=1e-10, limit=200)
         return result
 
@@ -85,6 +91,9 @@ class LinearGain(GainFunction):
     def value(self, t):
         self._check_time(t)
         return 1.0 + t
+
+    def _slope(self, t, v):
+        return 1.0
 
     def power_integral(self, k, t0, t):
         self._check_span(k, t0, t)
@@ -107,6 +116,9 @@ class PolynomialGain(GainFunction):
     def value(self, t):
         self._check_time(t)
         return (1.0 + t) ** self.power
+
+    def _slope(self, t, v):
+        return self.power * (1.0 + t) ** (self.power - 1)
 
     def power_integral(self, k, t0, t):
         self._check_span(k, t0, t)
@@ -133,6 +145,9 @@ class ExponentialGain(GainFunction):
     def value(self, t):
         self._check_time(t)
         return self.scale * autodiff.exp(self.rate * t)
+
+    def _slope(self, t, v):
+        return self.rate * v
 
     def power_integral(self, k, t0, t):
         self._check_span(k, t0, t)
@@ -171,6 +186,9 @@ class PrescribedTimeGain(GainFunction):
     def value(self, t):
         self._check_time(t)
         return self.scale / (self.terminal_time - t)
+
+    def _slope(self, t, v):
+        return self.scale / (self.terminal_time - t) ** 2
 
     def power_integral(self, k, t0, t):
         self._check_span(k, t0, t)

@@ -459,13 +459,16 @@ def write_trajectory_csv(trajectory: Trajectory, path):
         + [f"h{j + 1}" for j in range(n)]
         + ["branch"]
     )
+    rows = np.column_stack(
+        (
+            trajectory.times,
+            trajectory.states,
+            trajectory.inputs,
+            trajectory.disturbances,
+            trajectory.barrier_values,
+        )
+    ).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(trajectory.times.shape[0]):
-            cells = [repr(float(trajectory.times[i]))]
-            cells += [repr(float(v)) for v in trajectory.states[i]]
-            cells += [repr(float(v)) for v in trajectory.inputs[i]]
-            cells += [repr(float(v)) for v in trajectory.disturbances[i]]
-            cells += [repr(float(v)) for v in trajectory.barrier_values[i]]
-            cells.append(trajectory.branches[i])
-            fh.write(",".join(cells) + "\n")
+        for row, branch in zip(rows, trajectory.branches):
+            fh.write(",".join(map(repr, row)) + "," + branch + "\n")

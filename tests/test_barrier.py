@@ -19,8 +19,14 @@ from tvcbf.barrier import (
     robust_margin,
 )
 from tvcbf.chain import IntegratorChain
-from tvcbf.errors import DimensionError, ParameterError, UnsafeInitializationError
+from tvcbf.errors import (
+    DimensionError,
+    DomainError,
+    ParameterError,
+    UnsafeInitializationError,
+)
 from tvcbf.gains import ExponentialGain, GainSchedule, LinearGain, PolynomialGain
+from tvcbf.qp import safety_filter
 
 REFERENCE_THETA = 0.2942787793912432  # stacked bound of the reference profile
 
@@ -134,6 +140,12 @@ def test_chain_validates_inputs():
         _chain(order=2, robust=True, theta=-0.1)
     with pytest.raises(DimensionError):
         _chain(order=2, axes=2, center=(0.0,) * 5)  # center longer than the state
+    with pytest.raises(DimensionError):  # x3 on a two-entry state
+        BarrierChain(
+            IntegratorChain(order=2, axes=1),
+            PolynomialBarrier(((1.0, ((0, 2),)), (1.0, ((2, 1),)))),
+            GainSchedule(levels=(1.0, 1.0), function=LinearGain()),
+        )
 
 
 def test_chain_checks_declared_smoothness():
@@ -224,6 +236,62 @@ def test_evaluate_matches_eval_level():
             np.linalg.norm(chain.eval_level(1, x, t).gradient),
             rtol=1e-13,
         )
+
+
+def _assert_evaluations_equal(a, b):
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.gradient, b.gradient)
+    assert a.time_partial == b.time_partial
+    assert a.drift_rate == b.drift_rate
+    assert a.level1_gradient_norm == b.level1_gradient_norm
+
+
+def test_reused_instant_matches_fresh_chains():
+    # one chain called at t1, t2, t1 with eval_level and the filter in
+    # between reuses the coefficients of the last instant; every result
+    # must equal that of a chain built for the single call
+    def build(levels=(2.0, 1.5, 1.0)):
+        return _chain(order=3, levels=levels, robust=True, theta=0.3,
+                      smoothing=(0.5, 0.4, 0.3), center=(1.0, -1.0),
+                      exponent_factor=1.5)
+
+    rng = np.random.default_rng(41)
+    chain = build()
+    for t in (0.25, 1.75, 0.25):
+        for _ in range(3):
+            x = rng.uniform(-3.0, 3.0, size=6)
+            u_no = rng.uniform(-5.0, 5.0, size=2)
+            ev = chain.evaluate(x, t)
+            _assert_evaluations_equal(ev, build().evaluate(x, t))
+            ev.gradient[:] = 1e9  # returned arrays are the caller's own
+            _assert_evaluations_equal(chain.evaluate(x, t), build().evaluate(x, t))
+            for i in range(1, 4):
+                level, want = chain.eval_level(i, x, t), build().eval_level(i, x, t)
+                assert level.value == want.value
+                assert np.array_equal(level.gradient, want.gradient)
+                assert level.time_partial == want.time_partial
+                level.gradient[:] = -1e9
+            got = safety_filter(chain, x, t, u_no)
+            want = safety_filter(build(), x, t, u_no)
+            assert np.array_equal(got.u, want.u) and got.slack == want.slack
+            assert np.array_equal(got.row, want.row) and got.offset == want.offset
+            assert got.branch == want.branch
+    # a copy with other gains starts without the cached instant
+    _assert_evaluations_equal(
+        chain.with_levels((3.0, 2.0, 1.0)).evaluate(x, t),
+        build((3.0, 2.0, 1.0)).evaluate(x, t),
+    )
+    # a time outside the gain's domain is never kept: every call raises,
+    # also after level 1 (which needs no gain) was evaluated there
+    chain.eval_level(1, x, -0.5)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            chain.evaluate(x, -0.5)
+        with pytest.raises(DomainError):
+            chain.eval_level(2, x, -0.5)
+        with pytest.raises(DomainError):
+            safety_filter(chain, x, -0.5, u_no)
+    _assert_evaluations_equal(chain.evaluate(x, t), build().evaluate(x, t))
 
 
 def test_level_index_range():

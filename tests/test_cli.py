@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 
@@ -214,3 +217,16 @@ def test_aborted_run_exit_code(tmp_path, capsys):
 def test_unknown_subcommand_is_rejected():
     with pytest.raises(SystemExit):
         cli.main(["orbit"])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy only backs the quadrature reference of the power integrals
+    code = "import sys, tvcbf.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.stdout.strip() == "False"

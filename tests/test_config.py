@@ -232,6 +232,13 @@ def test_polynomial_term_errors():
         parse_config("[barrier]\nkind = polynomial\nterms = 2 y1\n")
     with pytest.raises(ConfigError):
         parse_config("[barrier]\nkind = polynomial\nterms = 2 x0\n")
+    # x3 is past the end of a two-entry state (order 2, one axis)
+    text = "[system]\naxes = 1\n[barrier]\nkind = polynomial\nterms = 1 x{}\n"
+    assert parse_config(text.format(2)).scenario.oracle.terms == ((1.0, ((1, 1),)),)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text.format(3))
+    assert _line_of(info.value) == 5
+    assert "x3" in str(info.value)
 
 
 def test_missing_required_keys():

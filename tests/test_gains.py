@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from tvcbf import autodiff
 from tvcbf.errors import DomainError, ParameterError, UnsafeInitializationError
 from tvcbf.gains import (
     ExponentialGain,
@@ -69,6 +70,13 @@ def test_prescribed_time_log_branch():
     assert np.isclose(g.power_integral(1.0, 0.0, 3.0), expected, rtol=1e-12)
 
 
+def _lifted_power_jet(g, k, t):
+    """value(t)**k and its time derivative through a forward-mode lift."""
+    (seed,) = autodiff.lift_first([t])
+    y = g.value(seed) ** k
+    return autodiff.unwrap(y.value), autodiff.unwrap(y.grad[0])
+
+
 def test_power_jet_matches_value_and_slope():
     rng = np.random.default_rng(9)
     for g in ALL_KINDS:
@@ -80,6 +88,11 @@ def test_power_jet_matches_value_and_slope():
             h = 1e-6
             fd = (g.value(t + h) ** k - g.value(t - h) ** k) / (2.0 * h)
             assert np.isclose(theta_dot, fd, rtol=1e-5, atol=1e-8)
+            want, want_dot = _lifted_power_jet(g, k, t)
+            assert abs(theta - want) <= 1e-13 * abs(want)
+            assert abs(theta_dot - want_dot) <= 1e-13 * abs(want_dot)
+            if isinstance(g, LinearGain):
+                assert (theta, theta_dot) == (want, want_dot)
 
 
 def test_strictly_increasing():

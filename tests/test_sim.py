@@ -400,6 +400,23 @@ def test_csv_schema_and_roundtrip(tmp_path):
     assert [float(v) for v in row[11:13]] == list(tr.barrier_values[0])
 
 
+def test_csv_cells_are_repr_of_stored_floats(tmp_path):
+    tr = run_scenario(_scenario(t_final=0.1, dt=1e-2))
+    out = tmp_path / "run.csv"
+    write_trajectory_csv(tr, out)
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == tr.times.shape[0]
+    for i, line in enumerate(lines):
+        stored = [
+            tr.times[i],
+            *tr.states[i],
+            *tr.inputs[i],
+            *tr.disturbances[i],
+            *tr.barrier_values[i],
+        ]
+        assert line.split(",") == [repr(float(v)) for v in stored] + [tr.branches[i]]
+
+
 def test_csv_bytes_identical_across_runs(tmp_path):
     s = _scenario(t_final=0.8)
     paths = []
