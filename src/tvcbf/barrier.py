@@ -9,10 +9,11 @@ smooth margin that dominates the worst-case disturbance action:
                + d(level[i-1])/dx . (A x)
                - margin[i-1]                  (robust only)
 
-Oracles with a ``quadratic_form`` (``CircularObstacle`` and
-``HalfPlane``) take a closed-form path.  The drift A is the linear
-shift, so every level stays quadratic, h_i = 0.5 x'P_i x + q_i'x + r_i,
-with s_i = gain[i] * g(t)**(e*i) and
+Oracles with a ``quadratic_form`` (``CircularObstacle``, ``HalfPlane``
+and a ``PolynomialBarrier`` whose terms all have total degree at most
+2) take a closed-form path.  The drift A is the linear shift, so every
+level stays quadratic, h_i = 0.5 x'P_i x + q_i'x + r_i, with
+s_i = gain[i] * g(t)**(e*i) and
 
     P_{i+1} = s_i P_i + P_i A + A'P_i - P_i P_i / (2 mu_i)
     q_{i+1} = s_i q_i + A'q_i - P_i q_i / (2 mu_i)
@@ -27,11 +28,12 @@ them for every state evaluated at that instant, which leaves one
 matrix-vector product per level, plus one for the time partial, for
 each further state.
 
-Any other oracle (``PolynomialBarrier``, a user callable) takes the
-lifted path: the recursion re-lifts its inputs at every level through
-``tvcbf.autodiff``, so the gradient of level i-1 is available as
-differentiable quantities when level i is formed.  Its cost grows about
-tenfold with each added order.  Neither path uses finite differences.
+Any other oracle (a ``PolynomialBarrier`` of degree 3 or more, a user
+callable) takes the lifted path: the recursion re-lifts its inputs at
+every level through ``tvcbf.autodiff``, so the gradient of level i-1 is
+available as differentiable quantities when level i is formed.  Its
+cost grows about tenfold with each added order.  Neither path uses
+finite differences.
 """
 
 from __future__ import annotations
@@ -170,6 +172,39 @@ class PolynomialBarrier:
             acc = acc + term
         return acc
 
+    def _check_reads(self, dim: int):
+        reads = 1 + max(
+            (j for _, factors in self.terms for j, _ in factors), default=-1
+        )
+        if reads > dim:
+            raise DimensionError(
+                f"polynomial barrier reads x{reads}, state has only {dim} entries"
+            )
+
+    def quadratic_form(self, dim: int):
+        """(P, q, r) with h(x) = 0.5 x'Px + q'x + r over a length-dim state,
+        or None when a term has total degree above 2."""
+        self._check_reads(dim)
+        if any(sum(k for _, k in factors) > 2 for _, factors in self.terms):
+            return None
+        p = np.zeros((dim, dim))
+        q = np.zeros(dim)
+        r = 0.0
+        for coeff, factors in self.terms:
+            index = [j for j, k in factors for _ in range(k)]
+            if not index:
+                r += coeff
+            elif len(index) == 1:
+                q[index[0]] += coeff
+            elif index[0] == index[1]:
+                p[index[0], index[0]] += 2.0 * coeff
+            else:
+                # split symmetrically: the chain recursion assumes P = P'
+                a, b = index
+                p[a, b] += coeff
+                p[b, a] += coeff
+        return p, q, r
+
 
 # -- evaluation records -------------------------------------------------
 
@@ -272,14 +307,8 @@ class BarrierChain:
                 f"needs at least C^{n}"
             )
         if isinstance(oracle, PolynomialBarrier):
-            reads = 1 + max(
-                (j for _, factors in oracle.terms for j, _ in factors), default=-1
-            )
-            if reads > system.dim:
-                raise DimensionError(
-                    f"polynomial barrier reads x{reads}, state has only "
-                    f"{system.dim} entries"
-                )
+            # the lifted path would read t as the entry past the state
+            oracle._check_reads(system.dim)
         self.system = system
         self.oracle = oracle
         self.schedule = schedule
@@ -377,17 +406,19 @@ class BarrierChain:
     def _closed_form(self, i, x, t):
         """Levels 1..i over a quadratic oracle, from the coefficients at t.
 
-        Returns the level values and level i's spatial gradient and time
-        partial; every returned array is freshly computed from x.
+        Returns the level values, the spatial gradients of levels 1..i
+        and level i's time partial; every returned array is freshly
+        computed from x.
         """
-        levels = self._coefficients(i, t)
-        values = []
-        for p, q, r, *_ in levels[:i]:
+        levels = self._coefficients(i, t)[:i]
+        values, grads = [], []
+        for p, q, r, *_ in levels:
             grad = p @ x + q
+            grads.append(grad)
             values.append(0.5 * float(x @ (grad + q)) + r)
-        _, _, _, p_dot, q_dot, r_dot = levels[i - 1]
+        _, _, _, p_dot, q_dot, r_dot = levels[-1]
         tp = 0.5 * float(x @ (p_dot @ x)) + float(q_dot @ x) + r_dot
-        return values, grad, tp
+        return values, grads, tp
 
     # -- recursive lifted evaluation ----------------------------------
 
@@ -490,8 +521,8 @@ class BarrierChain:
             )
         if self._level1 is None:
             return self._assemble(i, x, t)
-        values, grad, tp = self._closed_form(i, self._check_state(x), float(t))
-        return BarrierEvaluation(i, values[-1], grad, tp)
+        values, grads, tp = self._closed_form(i, self._check_state(x), float(t))
+        return BarrierEvaluation(i, values[-1], grads[-1], tp)
 
     def evaluate(self, x, t) -> ChainEvaluation:
         """All level values plus top-level derivatives in a single pass."""
@@ -507,11 +538,9 @@ class BarrierChain:
                 else float(np.linalg.norm(gradient))
             )
         else:
-            values, gradient, time_partial = self._closed_form(
-                self.order, x, float(t)
-            )
-            p1, q1, _ = self._level1
-            grad1_norm = float(np.linalg.norm(p1 @ x + q1))
+            values, grads, time_partial = self._closed_form(self.order, x, float(t))
+            gradient = grads[-1]
+            grad1_norm = math.sqrt(float(grads[0] @ grads[0]))
         return ChainEvaluation(
             values=np.array(values),
             gradient=gradient,

@@ -82,7 +82,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return ExperimentConfig(scenario=scenario, out_dir=out_dir)
 
 
-def _metrics_lines(trajectory: Trajectory, chain) -> list[str]:
+def _metrics_lines(trajectory: Trajectory) -> list[str]:
+    chain = trajectory.chain
     lines = [
         f"mode = {trajectory.scenario.mode}",
         f"samples = {trajectory.times.shape[0]}",
@@ -108,9 +109,8 @@ def _write_artifacts(config: ExperimentConfig, trajectory: Trajectory, out: Path
     write_trajectory_csv(trajectory, out / "trajectory.csv")
     (out / "trajectory.svg").write_text(trajectory_svg(trajectory), encoding="utf-8")
     (out / "timeseries.svg").write_text(timeseries_svg(trajectory), encoding="utf-8")
-    chain = build_chain(trajectory.scenario)
     (out / "metrics.txt").write_text(
-        "\n".join(_metrics_lines(trajectory, chain)) + "\n", encoding="utf-8"
+        "\n".join(_metrics_lines(trajectory)) + "\n", encoding="utf-8"
     )
     (out / "effective.cfg").write_text(render_config(config), encoding="utf-8")
 
@@ -120,7 +120,7 @@ def _cmd_simulate(args) -> int:
     trajectory = run_scenario(config.scenario)
     out = Path(config.out_dir)
     _write_artifacts(config, trajectory, out)
-    for line in _metrics_lines(trajectory, build_chain(config.scenario)):
+    for line in _metrics_lines(trajectory):
         print(line)
     print(f"artifacts written to {out}")
     if not trajectory.completed:

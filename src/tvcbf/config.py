@@ -149,6 +149,14 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing NaN and the infinities with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 class _Section:
     """Typed accessors over one tokenized section."""
 
@@ -175,7 +183,7 @@ class _Section:
             raise self.error(key, line, f"expected {label}, got {value!r}") from None
 
     def get_float(self, key, default=None):
-        return self._convert(key, float, default, "a number")
+        return self._convert(key, _finite, default, "a finite number")
 
     def get_int(self, key, default=None):
         return self._convert(key, int, default, "an integer")
@@ -193,9 +201,9 @@ class _Section:
 
     def get_floats(self, key, default=None):
         def conv(v):
-            return tuple(float(p) for p in v.split(","))
+            return tuple(_finite(p) for p in v.split(","))
 
-        return self._convert(key, conv, default, "comma-separated numbers")
+        return self._convert(key, conv, default, "comma-separated finite numbers")
 
     def get_word(self, key, choices, default=None):
         value, line = self.pop(key)
@@ -225,12 +233,13 @@ def _parse_sinusoid_terms(raw, line, name):
                 line=line,
             )
         try:
-            amp = float(parts[0])
-            freq = float(parts[2])
-            phase = float(parts[3]) if len(parts) == 4 else 0.0
+            amp = _finite(parts[0])
+            freq = _finite(parts[2])
+            phase = _finite(parts[3]) if len(parts) == 4 else 0.0
         except ValueError:
             raise ConfigError(
-                f"bad number in term {term.strip()!r} of {name}", line=line
+                f"bad or non-finite number in term {term.strip()!r} of {name}",
+                line=line,
             ) from None
         shape = parts[1].lower()
         if shape == "cos":
@@ -253,10 +262,11 @@ def _parse_polynomial_terms(raw, line, dim):
         if not tokens:
             raise ConfigError("empty polynomial term", line=line)
         try:
-            coeff = float(tokens[0])
+            coeff = _finite(tokens[0])
         except ValueError:
             raise ConfigError(
-                f"polynomial term must start with a coefficient, got {tokens[0]!r}",
+                f"polynomial term must start with a finite coefficient, "
+                f"got {tokens[0]!r}",
                 line=line,
             ) from None
         factors = []
@@ -324,17 +334,19 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"key {key!r} does not apply to the {kind} gain", line=line
             )
         try:
-            gain_params[key] = float(value)
+            gain_params[key] = _finite(value)
         except ValueError:
-            raise gain_sec.error(key, line, f"expected a number, got {value!r}")
+            raise gain_sec.error(
+                key, line, f"expected a finite number, got {value!r}"
+            ) from None
     if levels_raw == "auto":
         levels = None
     else:
         try:
-            levels = tuple(float(p) for p in levels_raw.split(","))
+            levels = tuple(_finite(p) for p in levels_raw.split(","))
         except ValueError:
             raise ConfigError(
-                f"levels must be 'auto' or comma-separated numbers, "
+                f"levels must be 'auto' or comma-separated finite numbers, "
                 f"got {levels_raw!r}",
                 line=levels_line,
             ) from None
@@ -402,10 +414,10 @@ def parse_config(text: str) -> ExperimentConfig:
         nominal_gains = None
     else:
         try:
-            nominal_gains = tuple(float(p) for p in nominal_raw.split(","))
+            nominal_gains = tuple(_finite(p) for p in nominal_raw.split(","))
         except ValueError:
             raise ConfigError(
-                f"nominal gains must be 'auto' or comma-separated numbers, "
+                f"nominal gains must be 'auto' or comma-separated finite numbers, "
                 f"got {nominal_raw!r}",
                 line=nominal_line,
             ) from None

@@ -150,6 +150,11 @@ class Scenario:
             raise ParameterError(
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}"
             )
+        if not all(math.isfinite(v) for v in (self.t0, self.t_final, self.dt)):
+            raise ParameterError(
+                f"t0, t_final and dt must be finite, got "
+                f"{self.t0}, {self.t_final}, {self.dt}"
+            )
         if self.dt <= 0.0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
         if self.t_final <= self.t0:
@@ -241,7 +246,8 @@ class Trajectory:
     Rows align: states[i] is the state at times[i]; inputs[i],
     disturbances[i] and branches[i] describe the step taken from it
     (the final row holds the input that would have been applied next).
-    ``annotation`` is set when the run aborted early, and the arrays
+    ``chain`` is the barrier chain the run evaluated, with the gains it
+    used.  ``annotation`` is set when the run aborted early, and the arrays
     stop at the last completed sample.
     """
 
@@ -252,6 +258,7 @@ class Trajectory:
     barrier_values: np.ndarray
     branches: list[str]
     scenario: Scenario
+    chain: BarrierChain
     annotation: str | None = None
     init_warning: str | None = None
     degenerate_gradient: bool = False
@@ -405,6 +412,7 @@ def run_scenario(scenario: Scenario) -> Trajectory:
         barrier_values=h[:recorded],
         branches=branches[:recorded],
         scenario=scenario,
+        chain=chain,
         annotation=annotation,
         init_warning=init_warning,
         degenerate_gradient=degenerate,

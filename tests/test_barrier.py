@@ -5,6 +5,8 @@ initial-gain selection."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from tvcbf.barrier import (
     robust_margin,
 )
 from tvcbf.chain import IntegratorChain
+from tvcbf.config import load_config
 from tvcbf.errors import (
     DimensionError,
     DomainError,
@@ -27,6 +30,7 @@ from tvcbf.errors import (
 )
 from tvcbf.gains import ExponentialGain, GainSchedule, LinearGain, PolynomialGain
 from tvcbf.qp import safety_filter
+from tvcbf.sim import run_scenario
 
 REFERENCE_THETA = 0.2942787793912432  # stacked bound of the reference profile
 
@@ -401,6 +405,20 @@ def test_closed_form_matches_lifted_path(order):
     oracles = (
         CircularObstacle(center=(1.5, -0.5), radius=1.0),
         HalfPlane(normal=(1.0, -2.0, 0.5), offset=0.3),
+        # 0.6 x1 x1 + 0.8 x1 x2 - 0.3 x1 x3 + 0.4 x2^2 - 1.2 x1 + 0.7 x2 + 2:
+        # a repeated factor, a cross term, a position-velocity term and a
+        # constant-only term
+        PolynomialBarrier(
+            terms=(
+                (0.6, ((0, 1), (0, 1))),
+                (0.8, ((0, 1), (1, 1))),
+                (-0.3, ((0, 1), (2, 1))),
+                (0.4, ((1, 2),)),
+                (-1.2, ((0, 1),)),
+                (0.7, ((1, 1),)),
+                (2.0, ()),
+            )
+        ),
     )
     for oracle in oracles:
         for function in (LinearGain(), ExponentialGain(scale=1.0, rate=0.5)):
@@ -440,9 +458,81 @@ def test_closed_form_matches_lifted_path(order):
                         _assert_same(level.time_partial, want.time_partial)
 
 
+_CIRCLE_TERMS = (  # 0.5 x1^2 - 2 x1 + 0.5 x2^2 - 2 x2 + 3.5
+    (0.5, ((0, 2),)),
+    (-2.0, ((0, 1),)),
+    (0.5, ((1, 2),)),
+    (-2.0, ((1, 1),)),
+    (3.5, ()),
+)
+
+
+def test_polynomial_quadratic_form():
+    # 1.5 x1 x1 + 0.8 x1 x2 - 0.3 x3 x1 - 1.2 x2 + 2 + 0.5, over 4 entries
+    oracle = PolynomialBarrier(
+        terms=(
+            (1.5, ((0, 1), (0, 1))),
+            (0.8, ((0, 1), (1, 1))),
+            (-0.3, ((2, 1), (0, 1))),
+            (-1.2, ((1, 1),)),
+            (2.0, ()),
+            (0.5, ()),
+        )
+    )
+    p, q, r = oracle.quadratic_form(4)
+    want_p = np.zeros((4, 4))
+    want_p[0, 0] = 3.0
+    want_p[0, 1] = want_p[1, 0] = 0.8
+    want_p[0, 2] = want_p[2, 0] = -0.3
+    assert np.array_equal(p, want_p)
+    assert np.array_equal(q, [0.0, -1.2, 0.0, 0.0])
+    assert r == 2.5
+    x = np.array([0.7, -1.1, 2.3, 0.4])
+    assert np.isclose(0.5 * x @ p @ x + q @ x + r, oracle(x), rtol=1e-14)
+    # the circle restated as a polynomial gives the circle's own form
+    circle = CircularObstacle(center=(2.0, 2.0), radius=1.0).quadratic_form(6)
+    for got, want in zip(PolynomialBarrier(_CIRCLE_TERMS).quadratic_form(6), circle):
+        assert np.array_equal(got, want)
+    # degree 3 in any spelling has no quadratic form
+    for factors in (((0, 3),), ((0, 2), (1, 1)), ((0, 1), (0, 1), (1, 1))):
+        cubic = PolynomialBarrier(terms=((1.0, ()), (1.0, factors)))
+        assert cubic.quadratic_form(4) is None
+    with pytest.raises(DimensionError):
+        oracle.quadratic_form(2)  # reads x3
+
+
+def test_polynomial_circle_chain_equals_circle_chain():
+    for order in (2, 3, 4, 5):
+        for robust in (False, True):
+            schedule = GainSchedule(
+                levels=(2.0, 1.5, 1.2, 1.0, 1.0)[:order],
+                function=LinearGain(),
+                exponent_factor=1.5,
+                robust=robust,
+            )
+            system = IntegratorChain(order=order, axes=2)
+            chains = [
+                BarrierChain(system, oracle, schedule, disturbance_bound=0.3 * robust)
+                for oracle in (
+                    CircularObstacle(center=(2.0, 2.0), radius=1.0),
+                    PolynomialBarrier(_CIRCLE_TERMS),
+                )
+            ]
+            x = np.linspace(-1.0, 1.5, system.dim)
+            _assert_evaluations_equal(*(c.evaluate(x, 0.6) for c in chains))
+    # a whole closed-loop run of the triple-integrator preset
+    circle = load_config(files("tvcbf") / "presets" / "triple_demo.cfg").scenario
+    runs = [
+        run_scenario(replace(circle, oracle=oracle))
+        for oracle in (circle.oracle, PolynomialBarrier(_CIRCLE_TERMS))
+    ]
+    assert runs[0].completed and runs[1].completed
+    for name in ("times", "states", "inputs", "disturbances", "barrier_values"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+    assert runs[0].branches == runs[1].branches
+
+
 def test_polynomial_barrier_chain_matches_finite_differences():
-    # no quadratic form: the chain takes the lifted path
-    assert not hasattr(PolynomialBarrier, "quadratic_form")
     # x1^2 x2 + 0.5 x2^2 - 0.3 x3 x4
     oracle = PolynomialBarrier(
         terms=(
@@ -451,6 +541,8 @@ def test_polynomial_barrier_chain_matches_finite_differences():
             (-0.3, ((2, 1), (3, 1))),
         )
     )
+    # a cubic term: no quadratic form, so the chain takes the lifted path
+    assert oracle.quadratic_form(6) is None
     schedule = GainSchedule(
         levels=(1.5, 2.0, 1.0),
         function=LinearGain(),

@@ -191,6 +191,27 @@ def test_bad_override_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, override",
+    [
+        ("[run]\ndt = nan\n", []),
+        ("[run]\nt_final = inf\n", []),
+        ("[barrier]\nradius = nan\n", []),
+        (FAST_CFG, ["--dt", "nan"]),
+        (FAST_CFG, ["--t-final", "inf"]),
+    ],
+)
+def test_non_finite_values_are_config_errors(tmp_path, capsys, text, override):
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "o")
+    code = cli.main(["simulate", "--config", cfg, "--out", out, *override])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err
+    if not override:
+        assert "line 2" in err
+
+
 def test_unsafe_start_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "[run]\nx0 = 2, 2, 0, 0\nt_final = 0.5\n")
     assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_UNSAFE

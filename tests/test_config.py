@@ -202,6 +202,46 @@ def test_value_errors_carry_line_numbers():
     assert _line_of(info.value) == 2
 
 
+# every float the parser reads, with {} where the value goes
+_FLOAT_FIELDS = {
+    "dt": "[run]\ndt = {}\n",
+    "t0": "[run]\nt0 = {}\n",
+    "t_final": "[run]\nt_final = {}\n",
+    "x0": "[run]\nx0 = 0, {}, 0, 0\n",
+    "goal": "[run]\ngoal = 4, {}\n",
+    "radius": "[barrier]\nradius = {}\n",
+    "center": "[barrier]\ncenter = {}, 2\n",
+    "smoothing": "[barrier]\nsmoothing = {}\n",
+    "normal": "[barrier]\nkind = halfplane\nnormal = 1, {}\n",
+    "offset": "[barrier]\nkind = halfplane\nnormal = 1, 0\noffset = {}\n",
+    "coefficient": "[barrier]\nkind = polynomial\nterms = {} x1 + 1\n",
+    "levels": "[gains]\nlevels = {}, 3\n",
+    "exponent_factor": "[gains]\nexponent_factor = {}\n",
+    "margin": "[gains]\nmargin = {}\n",
+    "last_level": "[gains]\nlast_level = {}\n",
+    "power": "[gains]\nkind = polynomial\npower = {}\n",
+    "scale": "[gains]\nkind = exponential\nscale = {}\n",
+    "rate": "[gains]\nkind = exponential\nrate = {}\n",
+    "terminal_time": "[gains]\nkind = prescribed_time\nterminal_time = {}\n",
+    "nominal_gains": "[nominal]\ngains = {}, 2\n",
+    "noise_amplitude": "[disturbance]\nnoise_amplitude = {}\n",
+    "amplitude": "[disturbance]\nchannel1 = {} sin 2\n",
+    "frequency": "[disturbance]\nchannel1 = 0.1 sin {}\n",
+    "phase": "[disturbance]\nchannel1 = 0.1 sin 2 {}\n",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_non_finite_numbers_are_rejected_with_line(field, value):
+    template = _FLOAT_FIELDS[field]
+    parse_config(template.format("1.5"))  # the field itself is accepted
+    with pytest.raises(ConfigError) as info:
+        parse_config(template.format(value))
+    assert _line_of(info.value) == template[: template.index("{}")].count("\n") + 1
+    assert "finite" in str(info.value)
+
+
 def test_kind_conditional_keys_are_rejected():
     with pytest.raises(ConfigError) as info:
         parse_config("[gains]\nkind = linear\npower = 2\n")

@@ -256,6 +256,7 @@ def test_empty_trajectory_metrics():
         barrier_values=np.empty((0, 2)),
         branches=[],
         scenario=s,
+        chain=build_chain(s),
         annotation="aborted at t=0: boom",
     )
     assert math.isnan(empty.min_h1)
@@ -365,7 +366,8 @@ def test_chain_bound_never_exceeds_level1_closed_form():
 
 def test_level_floors_hold_along_filtered_run():
     tr = run_scenario(_scenario(t_final=2.0))
-    chain = build_chain(tr.scenario)
+    chain = tr.chain  # the chain the run evaluated, auto gains included
+    assert chain.schedule == build_chain(tr.scenario).schedule
     h = tr.barrier_values
     floor1 = np.array(
         [safety_lower_bound(h[0, 0], chain.schedule.levels[0], 0.0, t)
