@@ -26,7 +26,11 @@ The coefficients depend on t alone, so the recursion runs once per
 time instant: a chain keeps the last instant's coefficients and reuses
 them for every state evaluated at that instant, which leaves one
 matrix-vector product per level, plus one for the time partial, for
-each further state.
+each further state.  A closed loop knows its time grid in advance, so
+``BarrierChain.hold`` runs the same recursion once over a block of
+instants, with the instants as a leading axis of every coefficient
+array, and an evaluation at one of them only looks its coefficients
+up.
 
 Any other oracle (a ``PolynomialBarrier`` of degree 3 or more, a user
 callable) takes the lifted path: the recursion re-lifts its inputs at
@@ -46,7 +50,12 @@ import numpy as np
 from . import autodiff
 from .autodiff import FirstOrderNumber, SecondOrderNumber, unwrap
 from .chain import IntegratorChain
-from .errors import DimensionError, ParameterError, UnsafeInitializationError
+from .errors import (
+    DimensionError,
+    DomainError,
+    ParameterError,
+    UnsafeInitializationError,
+)
 from .gains import (
     GainSchedule,
     initial_gain_perturbed,
@@ -261,10 +270,11 @@ class BarrierChain:
     constant shapes the margin subtracted when forming level i+1, and
     the last one shapes the filter constraint's margin.  The robust
     flag comes from the gain schedule; the unperturbed construction
-    ignores ``disturbance_bound`` (it must be 0 there).  The one thing
-    a chain stores after construction is the closed-form coefficients
-    at the last time it was evaluated at; they follow from the
-    construction arguments and that time alone, so no result depends
+    ignores ``disturbance_bound`` (it must be 0 there).  After
+    construction a chain stores only closed-form coefficients: those
+    of the last time it was evaluated at, and those of the block of
+    instants passed to the last ``hold``.  They follow from the
+    construction arguments and their times alone, so no result depends
     on the order of calls.
     """
 
@@ -320,9 +330,14 @@ class BarrierChain:
         self._exponents = tuple(schedule.level_exponent(i) for i in range(1, n + 1))
         # level 1 as (P, q, r) for quadratic oracles; None selects the lifted path
         form = getattr(oracle, "quadratic_form", None)
-        self._level1 = None if form is None else form(system.dim)
+        level1 = None if form is None else form(system.dim)
+        if level1 is not None:
+            p, q, r = level1
+            level1 = (p, q, r, np.zeros_like(p), np.zeros_like(q), 0.0)
+        self._level1 = level1  # with zero time derivatives
         self._shift = np.eye(system.dim, k=system.axes)  # the drift A
         self._instant = (None, [])  # (t, _coefficients at t)
+        self._held = ({}, [])  # ({t: index}, levels 2..n over the instants)
 
     @property
     def order(self) -> int:
@@ -363,43 +378,108 @@ class BarrierChain:
 
     # -- closed-form evaluation of quadratic chains ---------------------
 
-    def _coefficients(self, i, t):
-        """(P, q, r, dP/dt, dq/dt, dr/dt) of levels 1..i (at least) at t.
+    def _extend(self, levels, i, jet):
+        """Coefficient list ``levels`` extended by the recursion to level i.
 
-        They depend on t alone, so the last instant's list is kept and
-        reused, and extended when a higher level is asked for, while t
-        is unchanged.  The list is stored only once every level it holds
-        is computed, so a time the gain rejects raises on every call.
+        ``jet(k)`` is (s, ds/dt) of the gain power that scales level k:
+        floats for one instant, or arrays over a block of instants, in
+        which case every level formed has the instants as its leading
+        axis.  Returns a new list; ``levels`` is left as it is.
         """
-        cached_t, levels = self._instant
-        if cached_t != t:
-            p, q, r = self._level1
-            levels = [(p, q, r, np.zeros_like(p), np.zeros_like(q), 0.0)]
         a = self._shift
         for k in range(len(levels), i):
             p, q, r, p_dot, q_dot, r_dot = levels[-1]
-            s_val, s_dot = self.gain_function.power_jet(self._exponents[k - 1], t)
             rho = self.schedule.levels[k - 1]
+            s_val, s_dot = jet(k)
             s_val, s_dot = rho * s_val, rho * s_dot
+            if isinstance(s_val, np.ndarray):  # each instant scales its own q, P
+                sq, sq_dot = s_val[:, None], s_dot[:, None]
+                sp, sp_dot = s_val[:, None, None], s_dot[:, None, None]
+            else:
+                sq = sp = s_val
+                sq_dot = sp_dot = s_dot
             pa, pa_dot = p @ a, p_dot @ a
-            p_next = s_val * p + pa + pa.T
-            p_dot_next = s_dot * p + s_val * p_dot + pa_dot + pa_dot.T
-            q_next = s_val * q + a.T @ q
-            q_dot_next = s_dot * q + s_val * q_dot + a.T @ q_dot
+            p_next = sp * p + pa + pa.mT
+            p_dot_next = sp_dot * p + sp * p_dot + pa_dot + pa_dot.mT
+            q_next = sq * q + q @ a
+            q_dot_next = sq_dot * q + sq * q_dot + q_dot @ a
             r_next = s_val * r
             r_dot_next = s_dot * r + s_val * r_dot
             if self.schedule.robust:
                 mu = self.smoothing[k - 1]
                 pp_dot = p_dot @ p
                 p_next -= p @ p / (2.0 * mu)
-                p_dot_next -= (pp_dot + pp_dot.T) / (2.0 * mu)
-                q_next -= p @ q / (2.0 * mu)
-                q_dot_next -= (p_dot @ q + p @ q_dot) / (2.0 * mu)
-                r_next -= float(q @ q) / (4.0 * mu) + mu * self._bound_sq
-                r_dot_next -= float(q @ q_dot) / (2.0 * mu)
+                p_dot_next -= (pp_dot + pp_dot.mT) / (2.0 * mu)
+                q_next -= np.matvec(p, q) / (2.0 * mu)
+                pq_dot = np.matvec(p_dot, q) + np.matvec(p, q_dot)
+                q_dot_next -= pq_dot / (2.0 * mu)
+                r_next -= np.vecdot(q, q) / (4.0 * mu) + mu * self._bound_sq
+                r_dot_next -= np.vecdot(q, q_dot) / (2.0 * mu)
             levels = levels + [
                 (p_next, q_next, r_next, p_dot_next, q_dot_next, r_dot_next)
             ]
+        return levels
+
+    def hold(self, times):
+        """Compute every level's coefficients at each of ``times`` at once.
+
+        The block is kept until the next ``hold`` and replaces the one
+        before; an evaluation at one of its instants looks its
+        coefficients up instead of running the recursion.  The block
+        ends before the first instant at which the gain raises, so an
+        evaluation there raises as it would without a block.  The gain
+        power of each level is taken once per instant, as for a single
+        instant.  Chains on the lifted path hold nothing.
+        """
+        self._held = ({}, [])
+        if self._level1 is None:
+            return
+        jets = []
+        for t in times:
+            try:
+                jets.append(
+                    [self.gain_function.power_jet(e, t) for e in self._exponents[:-1]]
+                )
+            except (DomainError, OverflowError):
+                break
+        if not jets:
+            return
+        jets = np.array(jets)  # (instant, level - 1, value or derivative)
+        levels = self._extend(
+            [self._level1], self.order, lambda k: (jets[:, k - 1, 0], jets[:, k - 1, 1])
+        )
+        block = [
+            (p, q, r.tolist(), pd, qd, rd.tolist())
+            for p, q, r, pd, qd, rd in levels[1:]
+        ]
+        self._held = ({t: j for j, t in enumerate(times[: len(jets)])}, block)
+
+    def _coefficients(self, i, t):
+        """(P, q, r, dP/dt, dq/dt, dr/dt) of levels 1..i (at least) at t.
+
+        They depend on t alone.  An instant of the held block is looked
+        up; otherwise the recursion runs for t alone.  The last
+        instant's list is kept and reused, and extended when a higher
+        level is asked for, while t is unchanged.  The list is stored
+        only once every level it holds is computed, so a time the gain
+        rejects raises on every call.
+        """
+        cached_t, levels = self._instant
+        if cached_t != t:
+            index, block = self._held
+            j = index.get(t)
+            if j is None:
+                levels = [self._level1]
+            else:
+                levels = [self._level1] + [
+                    (p[j], q[j], r[j], pd[j], qd[j], rd[j])
+                    for p, q, r, pd, qd, rd in block
+                ]
+        if len(levels) < i:
+            gain, exponents = self.gain_function, self._exponents
+            levels = self._extend(
+                levels, i, lambda k: gain.power_jet(exponents[k - 1], t)
+            )
         self._instant = (t, levels)
         return levels
 
@@ -418,7 +498,7 @@ class BarrierChain:
             values.append(0.5 * float(x @ (grad + q)) + r)
         _, _, _, p_dot, q_dot, r_dot = levels[-1]
         tp = 0.5 * float(x @ (p_dot @ x)) + float(q_dot @ x) + r_dot
-        return values, grads, tp
+        return values, grads, float(tp)
 
     # -- recursive lifted evaluation ----------------------------------
 
@@ -522,7 +602,7 @@ class BarrierChain:
         if self._level1 is None:
             return self._assemble(i, x, t)
         values, grads, tp = self._closed_form(i, self._check_state(x), float(t))
-        return BarrierEvaluation(i, values[-1], grads[-1], tp)
+        return BarrierEvaluation(i, float(values[-1]), grads[-1], tp)
 
     def evaluate(self, x, t) -> ChainEvaluation:
         """All level values plus top-level derivatives in a single pass."""

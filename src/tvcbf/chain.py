@@ -125,6 +125,10 @@ class DisturbanceProfile:
         object.__setattr__(self, "channels", tuple(self.channels))
         if not self.channels:
             raise ParameterError("disturbance profile needs at least one channel")
+        # per-channel noise amplitudes, or None without noise; not a field,
+        # built once so that sampling does not rebuild it on every call
+        noise = np.array([ch.noise_amplitude for ch in self.channels])
+        object.__setattr__(self, "_noise", noise if noise.any() else None)
 
     def __len__(self) -> int:
         return len(self.channels)
@@ -158,8 +162,8 @@ def sample_disturbance(
     if t < 0.0:
         raise ParameterError(f"disturbances are defined for t >= 0, got {t}")
     out = np.array([ch.deterministic(t) for ch in profile.channels], dtype=float)
-    noise = np.array([ch.noise_amplitude for ch in profile.channels])
-    if noise.any():
+    noise = profile._noise
+    if noise is not None:
         if rng is None:
             raise ParameterError(
                 "profile has a noise term; pass a generator or use profile.sampler()"

@@ -12,6 +12,11 @@ Controller modes:
 
 Disturbance and input are sampled once per step and held constant over
 the four integration stages, which keeps runs reproducible bit for bit.
+The time grid t0 + i*dt is known before the loop starts, so the loop
+hands the barrier chain the next ``HOLD_BLOCK`` grid instants at a
+time (``BarrierChain.hold``), and the chain's closed-form coefficients
+for all of them come from one vectorized recursion.  The step must
+divide t_final - t0 into whole steps, so the grid ends at t_final.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ __all__ = [
 ]
 
 MODES = ("nominal", "sbcbf", "srcbf")
+
+# grid instants whose chain coefficients ``run_scenario`` computes at once
+HOLD_BLOCK = 64
 
 DEGENERATE_GRADIENT_NORM = 1e-9
 
@@ -161,6 +169,14 @@ class Scenario:
             raise ParameterError(
                 f"t_final ({self.t_final}) must exceed t0 ({self.t0})"
             )
+        span = (self.t_final - self.t0) / self.dt
+        steps = round(span)
+        if abs(span - steps) > 1e-9 * max(1, steps):
+            raise ParameterError(
+                f"dt ({self.dt}) does not divide t_final - t0 "
+                f"({self.t_final} - {self.t0}) into whole steps ({span:.6g}); "
+                f"the grid would end at t = {self.t0 + steps * self.dt:.6g}"
+            )
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         object.__setattr__(self, "goal", tuple(float(v) for v in self.goal))
         dim = self.system.dim
@@ -192,6 +208,7 @@ class Scenario:
 
     @property
     def steps(self) -> int:
+        """Grid steps from t0 to t_final; dt divides the span (checked)."""
         return int(round((self.t_final - self.t0) / self.dt))
 
     def feedback_gains(self) -> tuple[float, ...]:
@@ -314,7 +331,14 @@ def run_scenario(scenario: Scenario) -> Trajectory:
     chain = build_chain(scenario)
     dim, m, n = system.dim, system.axes, system.order
     x0 = np.asarray(scenario.x0, dtype=float)
+    steps = scenario.steps
 
+    def hold_from(i):
+        stop = min(i + HOLD_BLOCK, steps + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain.hold([scenario.t0 + k * scenario.dt for k in range(i, stop)])
+
+    hold_from(0)  # before the start check, which then reads t0 from the block
     init_warning = None
     if scenario.mode != "nominal":
         levels = chain.validate_initialization(x0, scenario.t0)
@@ -329,7 +353,6 @@ def run_scenario(scenario: Scenario) -> Trajectory:
                 + "; decay floors for those levels do not apply"
             )
 
-    steps = scenario.steps
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, dim))
     inputs = np.empty((steps + 1, m))
@@ -350,6 +373,8 @@ def run_scenario(scenario: Scenario) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps + 1):
             t = scenario.t0 + i * scenario.dt
+            if i and i % HOLD_BLOCK == 0:
+                hold_from(i)
             try:
                 if scenario.profile is not None:
                     d = sample_disturbance(scenario.profile, t, rng)
@@ -403,6 +428,7 @@ def run_scenario(scenario: Scenario) -> Trajectory:
             except (NumericalBlowupError, OverflowError) as exc:
                 annotation = f"aborted at t={t:.6g}: {exc}"
                 break
+    chain.hold(())  # drop the last block
 
     return Trajectory(
         times=times[:recorded],

@@ -5,7 +5,7 @@ initial-gain selection."""
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from importlib.resources import files
 
 import numpy as np
@@ -28,9 +28,15 @@ from tvcbf.errors import (
     ParameterError,
     UnsafeInitializationError,
 )
-from tvcbf.gains import ExponentialGain, GainSchedule, LinearGain, PolynomialGain
+from tvcbf.gains import (
+    ExponentialGain,
+    GainSchedule,
+    LinearGain,
+    PolynomialGain,
+    PrescribedTimeGain,
+)
 from tvcbf.qp import safety_filter
-from tvcbf.sim import run_scenario
+from tvcbf.sim import HOLD_BLOCK, run_scenario
 
 REFERENCE_THETA = 0.2942787793912432  # stacked bound of the reference profile
 
@@ -296,6 +302,135 @@ def test_reused_instant_matches_fresh_chains():
         with pytest.raises(DomainError):
             safety_filter(chain, x, -0.5, u_no)
     _assert_evaluations_equal(chain.evaluate(x, t), build().evaluate(x, t))
+
+
+HOLD_GAINS = (
+    LinearGain(),
+    PolynomialGain(power=1.5),
+    ExponentialGain(scale=0.8, rate=0.5),
+    PrescribedTimeGain(scale=2.0, terminal_time=1.0),
+)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_held_block_matches_single_instants(order):
+    # a chain that holds blocks of grid instants, as run_scenario does,
+    # gives the coefficients and evaluations of a chain that runs the
+    # recursion for one instant at a time, bit for bit; the grids end
+    # inside, at and just past a block boundary
+    system = IntegratorChain(order=order, axes=2)
+    quadric = PolynomialBarrier(
+        ((0.5, ((0, 2),)), (0.3, ((0, 1), (2, 1))), (-0.2, ((1, 2),)),
+         (0.7, ((1, 1), (3, 1))), (-1.5, ((0, 1),)), (0.25, ()))
+    )
+    rng = np.random.default_rng(order)
+    for gain in HOLD_GAINS:
+        for robust in (False, True):
+            for factor in (1.0, 1.5):
+                schedule = GainSchedule(
+                    levels=tuple(rng.uniform(0.5, 3.0, size=order)),
+                    function=gain,
+                    exponent_factor=factor,
+                    robust=robust,
+                )
+                kwargs = dict(
+                    smoothing=tuple(rng.uniform(0.2, 1.0, size=order)),
+                    disturbance_bound=0.3 if robust else 0.0,
+                )
+                oracle = quadric if robust else CircularObstacle((1.0, -1.0), 1.0)
+                single = BarrierChain(system, oracle, schedule, **kwargs)
+                times = [0.05 + k * 0.004 for k in range(200)]
+                xs = rng.uniform(-3.0, 3.0, size=(200, system.dim))
+                want = [
+                    (single._coefficients(order, t), single.evaluate(x, t))
+                    for t, x in zip(times, xs)
+                ]
+                for count in (1, 63, 64, 65, 200):
+                    held = BarrierChain(system, oracle, schedule, **kwargs)
+                    for start in range(0, count, HOLD_BLOCK):
+                        stop = min(start + HOLD_BLOCK, count)
+                        held.hold(times[start:stop])
+                        # levels 2..n, each item stacked over the instants
+                        for level, items in enumerate(held._held[1], start=1):
+                            for j, item in enumerate(items):
+                                stacked = [
+                                    want[k][0][level][j] for k in range(start, stop)
+                                ]
+                                assert np.array_equal(item, stacked)
+                        for k in range(start, stop):
+                            _assert_evaluations_equal(
+                                held.evaluate(xs[k], times[k]), want[k][1]
+                            )
+
+
+def test_held_block_ends_at_the_first_rejected_instant():
+    # the prescribed-time gain raises from t = 1 on: the block keeps the
+    # instants before it, and evaluating at or after it raises as without
+    # a block
+    def build(gain=PrescribedTimeGain(scale=1.0, terminal_time=1.0)):
+        return BarrierChain(
+            IntegratorChain(order=3, axes=2),
+            CircularObstacle((1.0, -1.0), 1.0),
+            GainSchedule(levels=(2.0, 1.5, 1.0), function=gain, robust=True),
+            smoothing=(0.5, 0.4, 0.3),
+            disturbance_bound=0.3,
+        )
+
+    chain = build()
+    times = [0.9 + k * 0.01 for k in range(20)]
+    chain.hold(times)
+    index, block = chain._held
+    assert sorted(index.values()) == list(range(10))  # 0.9 .. 0.99
+    assert all(len(r) == 10 for _, _, r, *_ in block)
+    x = np.array([3.0, 0.5, 0.1, -0.2, 0.3, 0.0])
+    for t in times[:10]:
+        _assert_evaluations_equal(chain.evaluate(x, t), build().evaluate(x, t))
+    for t in times[10:12]:
+        with pytest.raises(DomainError):
+            chain.evaluate(x, t)
+    level1 = build().eval_level(1, x, times[10]).value
+    assert chain.eval_level(1, x, times[10]).value == level1
+    # a block whose first instant is rejected holds nothing
+    chain.hold(times[10:])
+    assert chain._held == ({}, [])
+
+    # a gain that rejects one instant only: the block still ends there,
+    # and the instants after it are evaluated one at a time
+    @dataclass(frozen=True)
+    class GapGain(LinearGain):
+        def _check_time(self, t):
+            super()._check_time(t)
+            if float(t) == times[5]:
+                raise DomainError(f"gain rejects t={t}")
+
+    gap, reference = build(GapGain()), build(LinearGain())
+    gap.hold(times)
+    assert sorted(gap._held[0].values()) == list(range(5))
+    with pytest.raises(DomainError):
+        gap.evaluate(x, times[5])
+    for t in times[:5] + times[6:]:
+        _assert_evaluations_equal(gap.evaluate(x, t), reference.evaluate(x, t))
+
+
+def test_with_levels_copy_and_lifted_chains_hold_no_block():
+    chain = _chain(order=3, levels=(2.0, 1.5, 1.0), robust=True, theta=0.3)
+    chain.hold([0.1, 0.2, 0.3])
+    assert len(chain._held[0]) == 3
+    copy = chain.with_levels((3.0, 2.0, 1.0))
+    assert copy._held == ({}, [])
+    x = np.array([2.0, 0.5, 0.1, -0.2, 0.3, 0.0])
+    _assert_evaluations_equal(
+        copy.evaluate(x, 0.2),
+        _chain(order=3, levels=(3.0, 2.0, 1.0), robust=True, theta=0.3).evaluate(
+            x, 0.2
+        ),
+    )
+    lifted = BarrierChain(
+        chain.system, lambda xt: chain.oracle(xt), chain.schedule,
+        disturbance_bound=0.3,
+    )
+    lifted.hold([0.1, 0.2, 0.3])
+    assert lifted._held == ({}, [])
 
 
 def test_level_index_range():

@@ -151,6 +151,34 @@ def test_samples_stay_within_certified_bound():
         assert float(np.linalg.norm(d)) <= theta
 
 
+def test_noise_draw_per_channel_amplitude():
+    # one draw per channel, noise-free channels included, scaled by each
+    # channel's amplitude; the amplitudes are not part of the profile's
+    # value (equality, hash, repr)
+    channels = (
+        Channel((Sinusoid(0.1, 2.0),), 0.02),
+        Channel((), 0.0),
+        Channel((Sinusoid(0.15, 1.0),), 0.05),
+    )
+    for symmetric in (False, True):
+        profile = DisturbanceProfile(channels, symmetric_noise=symmetric)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for t in (0.0, 0.3, 2.5):
+            draw = ref.random(3)
+            if symmetric:
+                draw = 2.0 * draw - 1.0
+            want = np.array([ch.deterministic(t) for ch in channels])
+            want += np.array([0.02, 0.0, 0.05]) * draw
+            assert np.array_equal(sample_disturbance(profile, t, rng), want)
+    same = DisturbanceProfile(channels)
+    assert same == DisturbanceProfile(channels)
+    assert hash(same) == hash(DisturbanceProfile(channels))
+    assert "array" not in repr(same)
+    # a profile without noise draws nothing, so it needs no generator
+    quiet = DisturbanceProfile((Channel((Sinusoid(0.1, 2.0),)), Channel()))
+    assert np.array_equal(sample_disturbance(quiet, 1.0), [0.1 * math.sin(2.0), 0.0])
+
+
 def test_noise_requires_generator():
     profile = _reference_profile()
     with pytest.raises(ParameterError):

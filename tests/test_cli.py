@@ -212,6 +212,27 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys, text, override):
         assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text, override",
+    [
+        ("[run]\nt_final = 10\ndt = 0.3\n", []),
+        ("[run]\nt0 = 0.5\nt_final = 1\ndt = 0.2\n", []),
+        (FAST_CFG, ["--dt", "0.03"]),
+        (FAST_CFG, ["--t-final", "0.505"]),
+    ],
+)
+def test_step_that_misses_t_final_is_a_config_error(tmp_path, capsys, text, override):
+    # the grid would stop short of t_final, so the run is refused
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "o"
+    code = cli.main(["simulate", "--config", cfg, "--out", str(out), *override])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dt (") and "t_final" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unsafe_start_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "[run]\nx0 = 2, 2, 0, 0\nt_final = 0.5\n")
     assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_UNSAFE

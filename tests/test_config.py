@@ -204,7 +204,7 @@ def test_value_errors_carry_line_numbers():
 
 # every float the parser reads, with {} where the value goes
 _FLOAT_FIELDS = {
-    "dt": "[run]\ndt = {}\n",
+    "dt": "[run]\nt_final = 9\ndt = {}\n",  # 1.5 divides the span
     "t0": "[run]\nt0 = {}\n",
     "t_final": "[run]\nt_final = {}\n",
     "x0": "[run]\nx0 = 0, {}, 0, 0\n",

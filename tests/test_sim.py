@@ -18,7 +18,9 @@ from tvcbf.errors import (
     UnsafeInitializationError,
 )
 from tvcbf.gains import LinearGain, PolynomialGain, PrescribedTimeGain
+from tvcbf.barrier import BarrierChain
 from tvcbf.sim import (
+    HOLD_BLOCK,
     Scenario,
     Trajectory,
     build_chain,
@@ -146,11 +148,17 @@ def test_scenario_validation():
         _scenario(goal=(4.0,))
     with pytest.raises(DimensionError):
         _scenario(profile=DisturbanceProfile(channels=(Channel(),)))
+    # a step that does not land on t_final would end the grid early
+    for t0, t_final, dt in ((0.0, 10.0, 0.3), (0.0, 1.0, 0.3), (0.5, 2.0, 0.4)):
+        with pytest.raises(ParameterError, match=r"dt .* t_final"):
+            _scenario(t0=t0, t_final=t_final, dt=dt)
 
 
 def test_scenario_grid_and_gains():
     s = _scenario(t_final=1.0, dt=0.1)
     assert s.steps == 10
+    assert _scenario(t_final=0.3, dt=1e-2).steps == 30  # 29.999999999999996
+    assert _scenario(t0=0.5, t_final=8.0, dt=2.5e-3).steps == 3000
     assert s.feedback_gains() == (16.0, 8.0)
     assert _scenario(nominal_gains=(1.0, 2.0)).feedback_gains() == (1.0, 2.0)
 
@@ -244,6 +252,59 @@ def test_partial_abort_on_gain_singularity():
     assert "aborted at" in tr.annotation
     assert tr.times.shape[0] == 5  # samples at 0.5 .. 0.9
     assert np.isfinite(tr.states).all()
+
+
+@pytest.mark.parametrize("mode", ["nominal", "sbcbf", "srcbf"])
+def test_mid_block_gain_singularity_aborts_as_single_instants(monkeypatch, mode):
+    # the prescribed-time gain raises from t = 0.1, grid instant 100, which
+    # falls inside the second held block; the run must stop exactly where
+    # stepping without held blocks stops
+    s = _scenario(
+        mode=mode,
+        system=IntegratorChain(order=3, axes=2),
+        x0=(0.0,) * 6,
+        profile=DisturbanceProfile(_profile().channels + (Channel((), 0.02),) * 2),
+        barrier_gains=(2.0, 1.5, 1.0),
+        gain_function=PrescribedTimeGain(scale=0.05, terminal_time=0.1),
+        t_final=0.2,
+        dt=1e-3,
+    )
+    assert 100 % HOLD_BLOCK != 0
+    held = run_scenario(s)
+    monkeypatch.setattr(BarrierChain, "hold", lambda self, times: None)
+    single = run_scenario(s)
+    assert held.times.shape[0] == single.times.shape[0] == 100
+    assert held.annotation == single.annotation
+    assert held.annotation == (
+        "aborted at t=0.1: prescribed-time gain queried at t=0.1 >= terminal time 0.1"
+    )
+    for name in ("times", "states", "inputs", "disturbances", "barrier_values"):
+        assert np.array_equal(getattr(held, name), getattr(single, name))
+    assert held.branches == single.branches
+
+
+def test_gain_power_taken_once_per_instant_and_level(monkeypatch):
+    calls = []
+    power_jet = LinearGain.power_jet
+
+    def counted(self, k, t):
+        calls.append((k, t))
+        return power_jet(self, k, t)
+
+    monkeypatch.setattr(LinearGain, "power_jet", counted)
+    s = _scenario(
+        system=IntegratorChain(order=3, axes=2),
+        x0=(0.0,) * 6,
+        barrier_gains=(2.0, 1.5, 1.0),
+        profile=None,
+        t_final=0.3,
+        dt=2e-3,
+    )
+    tr = run_scenario(s)
+    assert tr.completed and tr.times.shape[0] == 151
+    assert len(calls) == 151 * 2
+    want = {(k, float(t)) for k in (1.0, 2.0) for t in tr.times}
+    assert sorted(calls) == sorted(want)
 
 
 def test_empty_trajectory_metrics():
