@@ -8,7 +8,6 @@ closed-form solution; the simulation harness runs the filtered loop
 and checks the analytic decay floors along the way.
 """
 
-from .autodiff import SecondOrderNumber, grad_hess, lift, unwrap
 from .barrier import (
     BarrierChain,
     BarrierEvaluation,
@@ -48,14 +47,13 @@ from .gains import (
     initial_gain_perturbed,
     initial_gain_unperturbed,
 )
-from .qp import FilterDecision, constraint_slack, qp_oracle, safety_filter
+from .qp import FilterDecision, qp_oracle, safety_filter
 from .sim import (
     Scenario,
     Trajectory,
     build_chain,
     chain_bound,
     default_nominal_gains,
-    nominal_controller,
     rk4_step,
     run_scenario,
     safety_lower_bound,
@@ -66,10 +64,6 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SecondOrderNumber",
-    "grad_hess",
-    "lift",
-    "unwrap",
     "BarrierChain",
     "BarrierEvaluation",
     "ChainEvaluation",
@@ -102,7 +96,6 @@ __all__ = [
     "initial_gain_perturbed",
     "initial_gain_unperturbed",
     "FilterDecision",
-    "constraint_slack",
     "qp_oracle",
     "safety_filter",
     "Scenario",
@@ -110,7 +103,6 @@ __all__ = [
     "build_chain",
     "chain_bound",
     "default_nominal_gains",
-    "nominal_controller",
     "rk4_step",
     "run_scenario",
     "safety_lower_bound",

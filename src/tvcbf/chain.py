@@ -21,7 +21,6 @@ __all__ = [
     "Sinusoid",
     "Channel",
     "DisturbanceProfile",
-    "DisturbanceSampler",
     "sample_disturbance",
     "certified_bound",
 ]
@@ -110,7 +109,11 @@ class Channel:
 
 @dataclass(frozen=True)
 class DisturbanceProfile:
-    """Per-channel disturbance description with a reproducible noise stream.
+    """Per-channel disturbance description.
+
+    The noise term draws from the generator the caller passes to
+    :func:`sample_disturbance`; a closed-loop run seeds that generator
+    from ``Scenario.seed``, so a profile holds no seed of its own.
 
     ``symmetric_noise`` switches the uniform draw from [0, 1] (the
     default reading of a unit random signal) to [-1, 1].  Either way the
@@ -118,7 +121,6 @@ class DisturbanceProfile:
     """
 
     channels: tuple[Channel, ...]
-    seed: int = 0
     symmetric_noise: bool = False
 
     def __post_init__(self):
@@ -132,23 +134,6 @@ class DisturbanceProfile:
 
     def __len__(self) -> int:
         return len(self.channels)
-
-    def sampler(self) -> "DisturbanceSampler":
-        return DisturbanceSampler(self)
-
-
-class DisturbanceSampler:
-    """Stateful sampler: one noise draw per channel per call, seeded."""
-
-    def __init__(self, profile: DisturbanceProfile):
-        self.profile = profile
-        self.reset()
-
-    def reset(self):
-        self._rng = np.random.default_rng(self.profile.seed)
-
-    def sample(self, t: float) -> np.ndarray:
-        return sample_disturbance(self.profile, t, self._rng)
 
 
 def sample_disturbance(
@@ -166,7 +151,7 @@ def sample_disturbance(
     if noise is not None:
         if rng is None:
             raise ParameterError(
-                "profile has a noise term; pass a generator or use profile.sampler()"
+                "profile has a noise term; pass a numpy random generator"
             )
         draw = rng.random(len(noise))
         if profile.symmetric_noise:

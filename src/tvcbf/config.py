@@ -163,6 +163,8 @@ class _Section:
     def __init__(self, name, entries):
         self.name = name
         self.entries = dict(entries)
+        # every key's line, kept after the key is popped
+        self.lines = {key: line for key, (_, line) in self.entries.items()}
 
     def pop(self, key, default=None):
         return self.entries.pop(key, (default, None))
@@ -303,8 +305,10 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse a config document into an :class:`ExperimentConfig`.
 
     Raises ConfigError with a line number for structural problems and
-    bad values; semantic errors caught downstream (say, a non-positive
-    radius) are re-raised as ConfigError without one.
+    bad values, and for ``Scenario``'s checks of the ``[run]`` keys (a
+    ``dt`` that does not divide the span, an ``x0`` of the wrong
+    length); other semantic errors caught downstream (say, a
+    non-positive radius) are re-raised as ConfigError without one.
     """
     sections = _tokenize(text)
 
@@ -457,7 +461,11 @@ def parse_config(text: str) -> ExperimentConfig:
             seed=seed,
         )
     except TvcbfError as exc:
-        raise ConfigError(str(exc)) from exc
+        # Scenario tags an error with the fields it concerns; point at
+        # the first of them that the config sets
+        fields = getattr(exc, "_fields", ())
+        line = next((run_sec.lines[f] for f in fields if f in run_sec.lines), None)
+        raise ConfigError(str(exc), line=line) from exc
     return ExperimentConfig(scenario=scenario, out_dir=out_dir)
 
 

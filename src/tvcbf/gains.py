@@ -32,12 +32,10 @@ class GainFunction:
     """Base for the strictly increasing gain kinds.
 
     ``value`` accepts duck scalars (plain floats or lifted autodiff
-    numbers) so callers can differentiate through it; each kind also
-    gives its time derivative in closed form (``_slope``), from which
-    ``power_jet`` forms the derivative of a power.  Subclasses with a
-    closed-form antiderivative override ``power_integral``; the base
-    implementation falls back to adaptive quadrature at relative
-    tolerance 1e-10.
+    numbers) so callers can differentiate through it.  Each kind gives
+    its time derivative in closed form (``_slope``), from which
+    ``power_jet`` forms the derivative of a power, and its
+    ``power_integral`` in closed form; there is no quadrature fallback.
     """
 
     kind = "abstract"
@@ -69,17 +67,7 @@ class GainFunction:
 
     def power_integral(self, k: float, t0: float, t: float) -> float:
         """Integral of ``value(s)**k`` over [t0, t]."""
-        return self.power_integral_quad(k, t0, t)
-
-    def power_integral_quad(self, k: float, t0: float, t: float) -> float:
-        """Adaptive-quadrature evaluation of the power integral."""
-        self._check_span(k, t0, t)
-        if t == t0:
-            return 0.0
-        from scipy.integrate import quad  # slow to import; only needed here
-
-        result, _ = quad(lambda s: self.value(s) ** k, t0, t, epsrel=1e-10, limit=200)
-        return result
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

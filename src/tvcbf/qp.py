@@ -21,7 +21,6 @@ from .errors import DimensionError, InfeasibleConstraintError
 
 __all__ = [
     "FilterDecision",
-    "constraint_slack",
     "safety_filter",
     "apply_filter",
     "qp_oracle",
@@ -94,13 +93,6 @@ def apply_filter(chain: BarrierChain, evaluation, t, u_no) -> FilterDecision:
         )
     u = u_no - row * (slack / row_sq)
     return FilterDecision(u, slack, "corrected", row, offset)
-
-
-def constraint_slack(chain: BarrierChain, x, t, u_no) -> float:
-    """Constraint value at the nominal input; >= 0 means no correction."""
-    u_no = _check_input(chain, u_no)
-    row, offset = _constraint_parts(chain, chain.evaluate(x, t), t)
-    return float(row @ u_no) + offset
 
 
 def safety_filter(chain: BarrierChain, x, t, u_no) -> FilterDecision:

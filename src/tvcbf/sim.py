@@ -47,7 +47,6 @@ from .qp import FilterDecision, apply_filter
 __all__ = [
     "rk4_step",
     "state_feedback",
-    "nominal_controller",
     "default_nominal_gains",
     "Scenario",
     "Trajectory",
@@ -119,9 +118,12 @@ def state_feedback(x, goal, gains) -> np.ndarray:
     return u
 
 
-def nominal_controller(x, p_d, kp: float, kd: float) -> np.ndarray:
-    """PD law for the double-integrator layout: u = -kp (p - p_d) - kd v."""
-    return state_feedback(x, p_d, (kp, kd))
+def _about(exc: Exception, *fields: str) -> Exception:
+    """Tag ``exc`` with the Scenario fields it concerns, most specific
+    first, so that ``parse_config`` can name the line of the first one
+    the config sets."""
+    exc._fields = fields
+    return exc
 
 
 @dataclass(frozen=True)
@@ -164,29 +166,39 @@ class Scenario:
                 f"{self.t0}, {self.t_final}, {self.dt}"
             )
         if self.dt <= 0.0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
+            raise _about(ParameterError(f"dt must be positive, got {self.dt}"), "dt")
         if self.t_final <= self.t0:
-            raise ParameterError(
-                f"t_final ({self.t_final}) must exceed t0 ({self.t0})"
+            raise _about(
+                ParameterError(f"t_final ({self.t_final}) must exceed t0 ({self.t0})"),
+                "t_final",
+                "t0",
             )
         span = (self.t_final - self.t0) / self.dt
         steps = round(span)
         if abs(span - steps) > 1e-9 * max(1, steps):
-            raise ParameterError(
-                f"dt ({self.dt}) does not divide t_final - t0 "
-                f"({self.t_final} - {self.t0}) into whole steps ({span:.6g}); "
-                f"the grid would end at t = {self.t0 + steps * self.dt:.6g}"
+            raise _about(
+                ParameterError(
+                    f"dt ({self.dt}) does not divide t_final - t0 "
+                    f"({self.t_final} - {self.t0}) into whole steps ({span:.6g}); "
+                    f"the grid would end at t = {self.t0 + steps * self.dt:.6g}"
+                ),
+                "dt",
+                "t_final",
+                "t0",
             )
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         object.__setattr__(self, "goal", tuple(float(v) for v in self.goal))
         dim = self.system.dim
         if len(self.x0) != dim:
-            raise DimensionError(
-                f"x0 must have length {dim}, got {len(self.x0)}"
+            raise _about(
+                DimensionError(f"x0 must have length {dim}, got {len(self.x0)}"), "x0"
             )
         if len(self.goal) != self.system.axes:
-            raise DimensionError(
-                f"goal must have length {self.system.axes}, got {len(self.goal)}"
+            raise _about(
+                DimensionError(
+                    f"goal must have length {self.system.axes}, got {len(self.goal)}"
+                ),
+                "goal",
             )
         if self.barrier_gains is not None:
             object.__setattr__(

@@ -187,20 +187,6 @@ def test_noise_requires_generator():
         sample_disturbance(profile, -0.5, np.random.default_rng(0))
 
 
-def test_sampler_reproducibility():
-    profile = _reference_profile()
-    a = profile.sampler()
-    b = profile.sampler()
-    ts = np.linspace(0.0, 5.0, 64)
-    trace_a = np.array([a.sample(float(t)) for t in ts])
-    trace_b = np.array([b.sample(float(t)) for t in ts])
-    assert np.array_equal(trace_a, trace_b)
-
-    a.reset()
-    trace_again = np.array([a.sample(float(t)) for t in ts])
-    assert np.array_equal(trace_a, trace_again)
-
-
 def test_symmetric_noise_flag_changes_support():
     ch = Channel(noise_amplitude=1.0)
     plain = DisturbanceProfile(channels=(ch,))

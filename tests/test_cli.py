@@ -228,7 +228,12 @@ def test_step_that_misses_t_final_is_a_config_error(tmp_path, capsys, text, over
     code = cli.main(["simulate", "--config", cfg, "--out", str(out), *override])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: dt (") and "t_final" in err
+    prefix = "config error: dt ("
+    if not override:
+        # a config that sets dt is pointed at the line that sets it
+        line = text[: text.index("dt =")].count("\n") + 1
+        prefix = f"config error: line {line}: dt ("
+    assert err.startswith(prefix) and "t_final" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -262,7 +267,8 @@ def test_unknown_subcommand_is_rejected():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy only backs the quadrature reference of the power integrals
+    # scipy is a test-only dependency: the power integrals are closed
+    # forms, and only the tests' quadrature cross-check imports it
     code = "import sys, tvcbf.cli; print('scipy' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code],

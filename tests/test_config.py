@@ -291,13 +291,31 @@ def test_missing_required_keys():
 
 
 def test_semantic_errors_become_config_errors():
-    # caught when the scenario is assembled, no line number applies
+    # caught when the oracle or the scenario is assembled
     with pytest.raises(ConfigError):
         parse_config("[run]\nx0 = 1, 2\n")
     with pytest.raises(ConfigError):
         parse_config("[barrier]\nkind = circle\nradius = -1\n")
     with pytest.raises(ConfigError):
         parse_config("[run]\nt0 = 5\nt_final = 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, detail",
+    [
+        ("[run]\nt_final = 10\ndt = 0.3\n", 3, "does not divide"),
+        ("[run]\nt_final = 10.0005\n", 2, "does not divide"),
+        ("[run]\nt0 = 5\nt_final = 1\n", 3, "must exceed"),
+        ("[system]\norder = 2\n[run]\nx0 = 1, 2\n", 4, "x0 must have length"),
+    ],
+)
+def test_scenario_errors_carry_the_line_of_their_key(text, line, detail):
+    # Scenario checks these after parsing; the error names the line of
+    # the key the config sets (for the grid, dt's line, else t_final's)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert _line_of(info.value) == line
+    assert str(info.value).startswith(f"line {line}: ") and detail in str(info.value)
 
 
 def test_comments_and_blank_lines_are_ignored():

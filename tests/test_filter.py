@@ -9,7 +9,7 @@ from tvcbf.barrier import BarrierChain, CircularObstacle, robust_margin
 from tvcbf.chain import IntegratorChain
 from tvcbf.errors import DimensionError, InfeasibleConstraintError
 from tvcbf.gains import GainSchedule, LinearGain
-from tvcbf.qp import apply_filter, constraint_slack, qp_oracle, safety_filter
+from tvcbf.qp import apply_filter, qp_oracle, safety_filter
 
 
 def _make_chain(
@@ -44,12 +44,12 @@ def test_slack_worked_example():
     # its drift rate is 3, so the slack at zero input is 3 + 3.5
     chain = _make_chain()
     x = [2.0, 0.0, 1.0, 0.0]
-    assert np.isclose(constraint_slack(chain, x, 0.0, [0.0, 0.0]), 6.5, rtol=1e-14)
+    assert np.isclose(safety_filter(chain, x, 0.0, [0.0, 0.0]).slack, 6.5, rtol=1e-14)
 
     # the time-partial switch adds d level2 / dt = 1.5
     with_tp = _make_chain(include_time_partial=True)
     assert np.isclose(
-        constraint_slack(with_tp, x, 0.0, [0.0, 0.0]), 8.0, rtol=1e-14
+        safety_filter(with_tp, x, 0.0, [0.0, 0.0]).slack, 8.0, rtol=1e-14
     )
 
 
@@ -57,7 +57,7 @@ def test_slack_cancellation_boundary():
     chain = _make_chain()
     x = [2.0, 0.0, 1.0, 0.0]
     # row is (2, 0); choose u so row . u exactly cancels the offset
-    assert constraint_slack(chain, x, 0.0, [-3.25, 0.0]) == 0.0
+    assert safety_filter(chain, x, 0.0, [-3.25, 0.0]).slack == 0.0
 
 
 def test_passthrough_branch():
@@ -87,7 +87,6 @@ def test_corrected_branch_by_hand():
     assert np.allclose(decision.u, [6.95, 0.0], rtol=1e-12)
     # constraint holds with equality after the correction
     assert abs(decision.row @ decision.u + decision.offset) < 1e-9
-    assert abs(constraint_slack(chain, x, 0.0, decision.u)) < 1e-9
 
 
 def test_corrected_slack_reconstruction():

@@ -26,7 +26,6 @@ from tvcbf.sim import (
     build_chain,
     chain_bound,
     default_nominal_gains,
-    nominal_controller,
     rk4_step,
     run_scenario,
     safety_lower_bound,
@@ -114,13 +113,14 @@ def test_default_nominal_gains():
 
 
 def test_nominal_controller_worked_examples():
-    u = nominal_controller([1.0, 0.0, 0.0, 0.0], [0.0, 0.0], 1.0, 2.0)
+    # the PD law u = -kp (p - p_d) - kd v of the double-integrator layout
+    u = state_feedback([1.0, 0.0, 0.0, 0.0], [0.0, 0.0], (1.0, 2.0))
     assert np.array_equal(u, [-1.0, 0.0])
     assert np.array_equal(
-        nominal_controller([3.0, -2.0, 0.0, 0.0], [3.0, -2.0], 1.0, 2.0), [0.0, 0.0]
+        state_feedback([3.0, -2.0, 0.0, 0.0], [3.0, -2.0], (1.0, 2.0)), [0.0, 0.0]
     )
     assert np.array_equal(
-        nominal_controller([0.0, 0.0, 2.0, -1.0], [0.0, 0.0], 0.0, 1.0), [-2.0, 1.0]
+        state_feedback([0.0, 0.0, 2.0, -1.0], [0.0, 0.0], (0.0, 1.0)), [-2.0, 1.0]
     )
 
 
