@@ -19,18 +19,23 @@ s_i = gain[i] * g(t)**(e*i) and
     q_{i+1} = s_i q_i + A'q_i - P_i q_i / (2 mu_i)
     r_{i+1} = s_i r_i - |q_i|^2 / (4 mu_i) - mu_i theta^2
 
-(the mu terms in the robust construction only).  Time partials follow
-by carrying (dP/dt, dq/dt, dr/dt) along, using ds_i/dt from
-``GainFunction.power_jet``; the cost grows linearly with the order.
-The coefficients depend on t alone, so the recursion runs once per
-time instant: a chain keeps the last instant's coefficients and reuses
-them for every state evaluated at that instant, which leaves one
-matrix-vector product per level, plus one for the time partial, for
-each further state.  A closed loop knows its time grid in advance, so
+(the mu terms in the robust construction only).  The chain keeps each
+level as one symmetric matrix over the state with a constant 1
+appended, H_i = [[P_i, q_i], [q_i', 2 r_i]], so h_i = 0.5 x~'H_i x~
+for x~ = (x, 1), and the three updates above are one matrix update of
+H_i.  Time partials follow by carrying dH/dt along, using ds_i/dt from
+``GainFunction.power_jet``: each level is a pair (H_i, dH_i/dt) that a
+fixed handful of array operations maps to the next pair, so the cost
+grows linearly with the order.  The coefficients depend on t alone,
+so the recursion runs once per time instant, and the chain keeps the
+last instant's levels stacked into one array together with the top
+level's dH/dt.  Every further state at that instant costs two
+products with that stack, whatever the order: one gives every level's
+gradient (H x~), the next every level's value and the top level's
+time partial.  A closed loop knows its time grid in advance, so
 ``BarrierChain.hold`` runs the same recursion once over a block of
-instants, with the instants as a leading axis of every coefficient
-array, and an evaluation at one of them only looks its coefficients
-up.
+instants, with the instants as an axis of every array, and an
+evaluation at one of them only looks its stack up.
 
 Any other oracle (a ``PolynomialBarrier`` of degree 3 or more, a user
 callable) takes the lifted path: the recursion re-lifts its inputs at
@@ -55,6 +60,7 @@ from .errors import (
     DomainError,
     ParameterError,
     UnsafeInitializationError,
+    _about,
 )
 from .gains import (
     GainSchedule,
@@ -74,6 +80,9 @@ __all__ = [
 ]
 
 DEFAULT_SMOOTHING = 0.2
+
+_ONE = np.ones(1)  # appended to a state: x~ = (x, 1)
+_ONE.flags.writeable = False
 
 
 # -- barrier oracles ----------------------------------------------------
@@ -101,9 +110,15 @@ class CircularObstacle:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not self.center:
-            raise ParameterError("obstacle center must have at least one coordinate")
+            raise _about(
+                ParameterError("obstacle center must have at least one coordinate"),
+                "center",
+            )
         if self.radius <= 0.0:
-            raise ParameterError(f"obstacle radius must be positive, got {self.radius}")
+            raise _about(
+                ParameterError(f"obstacle radius must be positive, got {self.radius}"),
+                "radius",
+            )
 
     def __call__(self, x):
         acc = 0.0
@@ -135,7 +150,7 @@ class HalfPlane:
     def __post_init__(self):
         object.__setattr__(self, "normal", tuple(float(a) for a in self.normal))
         if not any(self.normal):
-            raise ParameterError("half-plane normal must be nonzero")
+            raise _about(ParameterError("half-plane normal must be nonzero"), "normal")
 
     def __call__(self, x):
         acc = 0.0
@@ -167,10 +182,12 @@ class PolynomialBarrier:
         )
         object.__setattr__(self, "terms", canon)
         if not canon:
-            raise ParameterError("polynomial barrier needs at least one term")
+            raise _about(
+                ParameterError("polynomial barrier needs at least one term"), "terms"
+            )
         for _, factors in canon:
             if any(p < 1 or j < 0 for j, p in factors):
-                raise ParameterError(f"bad monomial factors {factors}")
+                raise _about(ParameterError(f"bad monomial factors {factors}"), "terms")
 
     def __call__(self, x):
         acc = 0.0
@@ -271,11 +288,12 @@ class BarrierChain:
     the last one shapes the filter constraint's margin.  The robust
     flag comes from the gain schedule; the unperturbed construction
     ignores ``disturbance_bound`` (it must be 0 there).  After
-    construction a chain stores only closed-form coefficients: those
-    of the last time it was evaluated at, and those of the block of
-    instants passed to the last ``hold``.  They follow from the
-    construction arguments and their times alone, so no result depends
-    on the order of calls.
+    construction a chain stores only values that follow from the
+    construction arguments and a time: the closed-form levels of the
+    last time it was evaluated at, those of the block of instants
+    passed to the last ``hold``, and the filter's top-level scale at
+    the last time the filter asked for it.  No result depends on the
+    order of calls.
     """
 
     def __init__(
@@ -328,16 +346,25 @@ class BarrierChain:
         self._bound_sq = self.disturbance_bound**2
         # exponent on the gain value when scaling level i, index i-1
         self._exponents = tuple(schedule.level_exponent(i) for i in range(1, n + 1))
-        # level 1 as (P, q, r) for quadratic oracles; None selects the lifted path
+        # for quadratic oracles, the levels' (H, dH/dt) pairs with level 1
+        # filled in (see _extend); None selects the lifted path
+        dim = system.dim
         form = getattr(oracle, "quadratic_form", None)
-        level1 = None if form is None else form(system.dim)
+        level1 = None if form is None else form(dim)
+        self._jets1 = None
         if level1 is not None:
             p, q, r = level1
-            level1 = (p, q, r, np.zeros_like(p), np.zeros_like(q), 0.0)
-        self._level1 = level1  # with zero time derivatives
-        self._shift = np.eye(system.dim, k=system.axes)  # the drift A
-        self._instant = (None, [])  # (t, _coefficients at t)
-        self._held = ({}, [])  # ({t: index}, levels 2..n over the instants)
+            self._jets1 = np.zeros((n, 2, dim + 1, dim + 1))
+            h = self._jets1[0, 0]
+            h[:dim, :dim] = p
+            h[:dim, dim] = h[dim, :dim] = q
+            h[dim, dim] = 2.0 * r
+        # the drift A acting on x~ = (x, 1): the constant does not move
+        self._shift = np.zeros((dim + 1, dim + 1))
+        self._shift[:dim, :dim] = np.eye(dim, k=system.axes)
+        self._instant = (None, 0, None, None)  # (t, levels formed, jets, stack)
+        self._held = ({}, None, None)  # ({t: index}, jets, stacks) over instants
+        self._scale = (None, None)  # (t, _top_scale at t)
 
     @property
     def order(self) -> int:
@@ -378,47 +405,44 @@ class BarrierChain:
 
     # -- closed-form evaluation of quadratic chains ---------------------
 
-    def _extend(self, levels, i, jet):
-        """Coefficient list ``levels`` extended by the recursion to level i.
+    def _extend(self, jets, formed, i, jet):
+        """Form levels formed+1..i of ``jets`` in place from level ``formed``.
 
-        ``jet(k)`` is (s, ds/dt) of the gain power that scales level k:
-        floats for one instant, or arrays over a block of instants, in
-        which case every level formed has the instants as its leading
-        axis.  Returns a new list; ``levels`` is left as it is.
+        ``jets[k]`` holds level k+1 as the pair (H, dH/dt), where
+        H = [[P, q], [q', 2 r]] over x~ = (x, 1).  ``jet(k)`` is
+        (s, ds/dt) of the gain power that scales level k: floats for
+        one instant, or arrays over a block of instants, in which case
+        ``jets`` has the instants as the axis after the pair.  With
+        Ã the drift on x~ and E the projection onto the state entries,
+
+            H_{k+1} = s_k H_k + H_k Ã + Ã'H_k
+                      - (H_k E H_k / (2 mu_k) + 2 mu_k theta^2 e e')
+
+        (e the last unit vector) is the recursion of the module
+        docstring for P, q and r at once; its time derivative adds
+        s_k' H_k and takes dH_k/dt in place of each H_k factor in turn.
         """
-        a = self._shift
-        for k in range(len(levels), i):
-            p, q, r, p_dot, q_dot, r_dot = levels[-1]
+        a, dim = self._shift, self.system.dim
+        for k in range(formed, i):
             rho = self.schedule.levels[k - 1]
             s_val, s_dot = jet(k)
             s_val, s_dot = rho * s_val, rho * s_dot
-            if isinstance(s_val, np.ndarray):  # each instant scales its own q, P
-                sq, sq_dot = s_val[:, None], s_dot[:, None]
-                sp, sp_dot = s_val[:, None, None], s_dot[:, None, None]
-            else:
-                sq = sp = s_val
-                sq_dot = sp_dot = s_dot
-            pa, pa_dot = p @ a, p_dot @ a
-            p_next = sp * p + pa + pa.mT
-            p_dot_next = sp_dot * p + sp * p_dot + pa_dot + pa_dot.mT
-            q_next = sq * q + q @ a
-            q_dot_next = sq_dot * q + sq * q_dot + q_dot @ a
-            r_next = s_val * r
-            r_dot_next = s_dot * r + s_val * r_dot
+            if isinstance(s_val, np.ndarray):  # each instant scales its own H
+                s_val, s_dot = s_val[:, None, None], s_dot[:, None, None]
+            prev, nxt = jets[k - 1], jets[k]
+            h = prev[0]
+            ha = prev @ a
+            np.multiply(s_val, prev, out=nxt)
+            nxt[1] += s_dot * h
+            nxt += ha
+            nxt += ha.mT
             if self.schedule.robust:
                 mu = self.smoothing[k - 1]
-                pp_dot = p_dot @ p
-                p_next -= p @ p / (2.0 * mu)
-                p_dot_next -= (pp_dot + pp_dot.mT) / (2.0 * mu)
-                q_next -= np.matvec(p, q) / (2.0 * mu)
-                pq_dot = np.matvec(p_dot, q) + np.matvec(p, q_dot)
-                q_dot_next -= pq_dot / (2.0 * mu)
-                r_next -= np.vecdot(q, q) / (4.0 * mu) + mu * self._bound_sq
-                r_dot_next -= np.vecdot(q, q_dot) / (2.0 * mu)
-            levels = levels + [
-                (p_next, q_next, r_next, p_dot_next, q_dot_next, r_dot_next)
-            ]
-        return levels
+                heh = prev[..., :dim] @ h[..., :dim, :]  # (H E H, dH/dt E H)
+                heh[1] += heh[1].mT
+                heh /= 2.0 * mu
+                heh[0, ..., dim, dim] += 2.0 * mu * self._bound_sq
+                nxt -= heh
 
     def hold(self, times):
         """Compute every level's coefficients at each of ``times`` at once.
@@ -431,8 +455,8 @@ class BarrierChain:
         power of each level is taken once per instant, as for a single
         instant.  Chains on the lifted path hold nothing.
         """
-        self._held = ({}, [])
-        if self._level1 is None:
+        self._held = ({}, None, None)
+        if self._jets1 is None:
             return
         jets = []
         for t in times:
@@ -445,60 +469,59 @@ class BarrierChain:
         if not jets:
             return
         jets = np.array(jets)  # (instant, level - 1, value or derivative)
-        levels = self._extend(
-            [self._level1], self.order, lambda k: (jets[:, k - 1, 0], jets[:, k - 1, 1])
+        count = len(jets)
+        block = np.empty(self._jets1.shape[:2] + (count,) + self._jets1.shape[2:])
+        block[0] = self._jets1[0][:, None]
+        self._extend(
+            block, 1, self.order, lambda k: (jets[:, k - 1, 0], jets[:, k - 1, 1])
         )
-        block = [
-            (p, q, r.tolist(), pd, qd, rd.tolist())
-            for p, q, r, pd, qd, rd in levels[1:]
-        ]
-        self._held = ({t: j for j, t in enumerate(times[: len(jets)])}, block)
+        block = np.ascontiguousarray(np.moveaxis(block, 2, 0))  # instants first
+        self._held = (
+            {t: j for j, t in enumerate(times[:count])}, block, _stack(block)
+        )
 
     def _coefficients(self, i, t):
-        """(P, q, r, dP/dt, dq/dt, dr/dt) of levels 1..i (at least) at t.
+        """(jets, stack) at t: levels 1..i (at least) as in ``_extend``,
+        and once all n levels are formed the evaluation stack
+        (H_1 .. H_n, dH_n/dt).
 
         They depend on t alone.  An instant of the held block is looked
         up; otherwise the recursion runs for t alone.  The last
-        instant's list is kept and reused, and extended when a higher
-        level is asked for, while t is unchanged.  The list is stored
-        only once every level it holds is computed, so a time the gain
-        rejects raises on every call.
+        instant's arrays are kept and reused, and extended when a higher
+        level is asked for, while t is unchanged.  A level counts as
+        formed only once the recursion has completed it, so a time the
+        gain rejects raises on every call.
         """
-        cached_t, levels = self._instant
+        cached_t, formed, jets, stack = self._instant
         if cached_t != t:
-            index, block = self._held
+            index, held_jets, held_stacks = self._held
             j = index.get(t)
             if j is None:
-                levels = [self._level1]
+                jets, formed, stack = self._jets1.copy(), 1, None
             else:
-                levels = [self._level1] + [
-                    (p[j], q[j], r[j], pd[j], qd[j], rd[j])
-                    for p, q, r, pd, qd, rd in block
-                ]
-        if len(levels) < i:
+                jets, formed, stack = held_jets[j], self.order, held_stacks[j]
+        if formed < i:
             gain, exponents = self.gain_function, self._exponents
-            levels = self._extend(
-                levels, i, lambda k: gain.power_jet(exponents[k - 1], t)
-            )
-        self._instant = (t, levels)
-        return levels
+            self._extend(jets, formed, i, lambda k: gain.power_jet(exponents[k - 1], t))
+            formed = i
+            if formed == self.order:
+                stack = _stack(jets)
+        self._instant = (t, formed, jets, stack)
+        return jets, stack
 
-    def _closed_form(self, i, x, t):
-        """Levels 1..i over a quadratic oracle, from the coefficients at t.
+    def _top_scale(self, t) -> float:
+        """gain[n] * g(t)**e_n, the scale of h_n in the filter constraint.
 
-        Returns the level values, the spatial gradients of levels 1..i
-        and level i's time partial; every returned array is freshly
-        computed from x.
+        Taken once per instant: the last instant's value is kept, and a
+        time the gain rejects raises on every call.
         """
-        levels = self._coefficients(i, t)[:i]
-        values, grads = [], []
-        for p, q, r, *_ in levels:
-            grad = p @ x + q
-            grads.append(grad)
-            values.append(0.5 * float(x @ (grad + q)) + r)
-        _, _, _, p_dot, q_dot, r_dot = levels[-1]
-        tp = 0.5 * float(x @ (p_dot @ x)) + float(q_dot @ x) + r_dot
-        return values, grads, float(tp)
+        t = float(t)
+        cached_t, scale = self._scale
+        if cached_t != t:
+            upsilon = self.gain_function.value(t) ** self._exponents[-1]
+            scale = self.schedule.levels[-1] * upsilon
+            self._scale = (t, scale)
+        return scale
 
     # -- recursive lifted evaluation ----------------------------------
 
@@ -599,15 +622,18 @@ class BarrierChain:
             raise ParameterError(
                 f"level index must be in 1..{self.order}, got {i}"
             )
-        if self._level1 is None:
+        if self._jets1 is None:
             return self._assemble(i, x, t)
-        values, grads, tp = self._closed_form(i, self._check_state(x), float(t))
-        return BarrierEvaluation(i, float(values[-1]), grads[-1], tp)
+        jets, _ = self._coefficients(i, float(t))
+        xt = np.concatenate((self._check_state(x), _ONE))
+        hx = jets[i - 1] @ xt  # (H x~, dH/dt x~) of level i
+        value, tp = 0.5 * (hx @ xt)
+        return BarrierEvaluation(i, float(value), hx[0, :-1], float(tp))
 
     def evaluate(self, x, t) -> ChainEvaluation:
         """All level values plus top-level derivatives in a single pass."""
         x = self._check_state(x)
-        if self._level1 is None:
+        if self._jets1 is None:
             sink = _LevelSink()
             top = self._assemble(self.order, x, t, sink)
             values = [sink.values[i] for i in range(1, self.order + 1)]
@@ -617,15 +643,21 @@ class BarrierChain:
                 if sink.grad1_sq is not None
                 else float(np.linalg.norm(gradient))
             )
+            values = np.array(values)
         else:
-            values, grads, time_partial = self._closed_form(self.order, x, float(t))
-            gradient = grads[-1]
-            grad1_norm = math.sqrt(float(grads[0] @ grads[0]))
+            _, stack = self._coefficients(self.order, float(t))
+            xt = np.concatenate((x, _ONE))
+            hx = stack @ xt  # H_i x~ of every level, then dH_n/dt x~
+            quad = 0.5 * (hx @ xt)
+            values, time_partial = quad[:-1], float(quad[-1])
+            gradient, grad1 = hx[-2, :-1], hx[0, :-1]
+            grad1_norm = math.sqrt(float(grad1 @ grad1))
+        m = self.system.axes
         return ChainEvaluation(
-            values=np.array(values),
+            values=values,
             gradient=gradient,
             time_partial=time_partial,
-            drift_rate=float(gradient @ self.system.drift(x)),
+            drift_rate=float(gradient[:-m] @ x[m:]),  # gradient . (A x)
             level1_gradient_norm=grad1_norm,
         )
 
@@ -633,6 +665,12 @@ class BarrierChain:
         """(level, value, positive?) for every level at the start point."""
         ev = self.evaluate(x0, t0)
         return [(i + 1, float(v), bool(v > 0.0)) for i, v in enumerate(ev.values)]
+
+
+def _stack(jets):
+    """(H_1 .. H_n, dH_n/dt) from the jets of all n levels, along the
+    level axis; any axes before it (the held instants) are kept."""
+    return np.concatenate((jets[..., 0, :, :], jets[..., -1:, 1, :, :]), axis=-3)
 
 
 def auto_gains(

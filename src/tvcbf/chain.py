@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, _about
 
 __all__ = [
     "IntegratorChain",
@@ -35,9 +35,14 @@ class IntegratorChain:
 
     def __post_init__(self):
         if not isinstance(self.order, int) or self.order < 2:
-            raise ParameterError(f"order must be an integer >= 2, got {self.order}")
+            raise _about(
+                ParameterError(f"order must be an integer >= 2, got {self.order}"),
+                "order",
+            )
         if not isinstance(self.axes, int) or self.axes < 1:
-            raise ParameterError(f"axes must be an integer >= 1, got {self.axes}")
+            raise _about(
+                ParameterError(f"axes must be an integer >= 1, got {self.axes}"), "axes"
+            )
 
     @property
     def dim(self) -> int:
@@ -47,19 +52,19 @@ class IntegratorChain:
         """State derivative: each level feeds from the next, the last from u."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        m = self.axes
-        if x.shape != (self.dim,):
-            raise DimensionError(f"state must have length {self.dim}, got {x.shape}")
+        m, dim = self.axes, self.dim
+        if x.shape != (dim,):
+            raise DimensionError(f"state must have length {dim}, got {x.shape}")
         if u.shape != (m,):
             raise DimensionError(f"input must have length {m}, got {u.shape}")
-        out = np.empty(self.dim)
-        out[: self.dim - m] = x[m:]
-        out[self.dim - m :] = u
+        out = np.empty(dim)
+        out[: dim - m] = x[m:]
+        out[dim - m :] = u
         if d is not None:
             d = np.asarray(d, dtype=float)
-            if d.shape != (self.dim,):
+            if d.shape != (dim,):
                 raise DimensionError(
-                    f"disturbance must have length {self.dim}, got {d.shape}"
+                    f"disturbance must have length {dim}, got {d.shape}"
                 )
             out += d
         return out

@@ -172,6 +172,12 @@ class _Section:
     def raw_items(self):
         return list(self.entries.items())
 
+    def line_of(self, exc):
+        """Line of the first field ``exc`` is tagged with that this
+        section sets, or None."""
+        fields = getattr(exc, "_fields", ())
+        return next((self.lines[f] for f in fields if f in self.lines), None)
+
     def error(self, key, line, detail):
         return ConfigError(f"bad value for {key!r} in [{self.name}]: {detail}", line=line)
 
@@ -305,16 +311,23 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse a config document into an :class:`ExperimentConfig`.
 
     Raises ConfigError with a line number for structural problems and
-    bad values, and for ``Scenario``'s checks of the ``[run]`` keys (a
-    ``dt`` that does not divide the span, an ``x0`` of the wrong
-    length); other semantic errors caught downstream (say, a
-    non-positive radius) are re-raised as ConfigError without one.
+    bad values, for a ``levels`` or ``smoothing`` list whose length is
+    not the system order, and for the checks that the system, the
+    barrier and ``Scenario`` make of their keys (an ``order`` below 2,
+    a non-positive ``radius``, a ``dt`` that does not divide the span,
+    an ``x0`` of the wrong length).  Such an error names the line of
+    the key it concerns; one that concerns a key the config leaves at
+    its default carries no line.
     """
     sections = _tokenize(text)
 
     sys_sec = _section(sections, "system")
     order = sys_sec.get_int("order", 2)
     axes = sys_sec.get_int("axes", 2)
+    try:
+        system = IntegratorChain(order=order, axes=axes)
+    except TvcbfError as exc:
+        raise ConfigError(str(exc), line=sys_sec.line_of(exc)) from exc
 
     gain_sec = _section(sections, "gains")
     kind = gain_sec.get_word(
@@ -354,10 +367,23 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"got {levels_raw!r}",
                 line=levels_line,
             ) from None
+        if len(levels) != order:
+            raise ConfigError(
+                f"levels lists {len(levels)} gains, system order is {order}",
+                line=levels_line,
+            )
 
     bar_sec = _section(sections, "barrier")
     bar_kind = bar_sec.get_word("kind", ("circle", "halfplane", "polynomial"), "circle")
     smoothing = bar_sec.get_floats("smoothing", (0.2,))
+    if len(smoothing) == 1:
+        smoothing = smoothing * order
+    elif len(smoothing) != order:
+        raise ConfigError(
+            f"smoothing lists {len(smoothing)} constants; give one, or one per "
+            f"level ({order})",
+            line=bar_sec.lines["smoothing"],
+        )
     include_tp = bar_sec.get_bool("include_time_partial", True)
     try:
         if bar_kind == "circle":
@@ -380,7 +406,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except ConfigError:
         raise
     except TvcbfError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(str(exc), line=bar_sec.line_of(exc)) from exc
     _reject_leftovers(bar_sec)
 
     dist_sec = _section(sections, "disturbance")
@@ -436,12 +462,9 @@ def parse_config(text: str) -> ExperimentConfig:
     goal = run_sec.get_floats("goal", (4.0,) * axes)
     out_dir, _ = run_sec.pop("out_dir", "out")
 
-    if len(smoothing) == 1:
-        smoothing = smoothing * order
-
     try:
         scenario = Scenario(
-            system=IntegratorChain(order=order, axes=axes),
+            system=system,
             oracle=oracle,
             x0=x0,
             goal=goal,
@@ -461,11 +484,7 @@ def parse_config(text: str) -> ExperimentConfig:
             seed=seed,
         )
     except TvcbfError as exc:
-        # Scenario tags an error with the fields it concerns; point at
-        # the first of them that the config sets
-        fields = getattr(exc, "_fields", ())
-        line = next((run_sec.lines[f] for f in fields if f in run_sec.lines), None)
-        raise ConfigError(str(exc), line=line) from exc
+        raise ConfigError(str(exc), line=run_sec.line_of(exc)) from exc
     return ExperimentConfig(scenario=scenario, out_dir=out_dir)
 
 

@@ -1,6 +1,14 @@
 """Exception types shared across the package."""
 
 
+def _about(exc: Exception, *fields: str) -> Exception:
+    """Tag ``exc`` with the constructor fields it concerns, most specific
+    first, so that ``parse_config`` can name the line of the first one
+    the config sets."""
+    exc._fields = fields
+    return exc
+
+
 class TvcbfError(Exception):
     """Base class for all package-specific errors."""
 

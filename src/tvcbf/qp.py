@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierChain, robust_margin
+from .barrier import BarrierChain
 from .errors import DimensionError, InfeasibleConstraintError
 
 __all__ = [
@@ -49,18 +49,17 @@ class FilterDecision:
 def _constraint_parts(chain: BarrierChain, evaluation, t):
     """Constraint row and u-independent offset from a chain evaluation."""
     m = chain.axes
-    row = evaluation.gradient[-m:].copy()
+    gradient = evaluation.gradient
+    row = gradient[-m:].copy()
     offset = evaluation.drift_rate
     if chain.include_time_partial:
         offset += evaluation.time_partial
     if chain.robust:
-        offset -= robust_margin(
-            evaluation.gradient, chain.smoothing[-1], chain.disturbance_bound
-        )
-    n = chain.order
-    gain = chain.schedule.levels[n - 1]
-    upsilon = chain.gain_function.value(float(t)) ** chain.schedule.level_exponent(n)
-    offset += gain * upsilon * float(evaluation.values[-1])
+        # robust_margin, whose checks of mu and theta the chain has made
+        mu, theta = chain.smoothing[-1], chain.disturbance_bound
+        offset -= float(gradient @ gradient) / (4.0 * mu) + mu * theta * theta
+    # gain * upsilon * h_n, with gain * upsilon taken once per instant
+    offset += chain._top_scale(t) * float(evaluation.values[-1])
     return row, float(offset)
 
 

@@ -40,6 +40,7 @@ from .errors import (
     NumericalBlowupError,
     ParameterError,
     UnsafeInitializationError,
+    _about,
 )
 from .gains import GainFunction, GainSchedule, LinearGain
 from .qp import FilterDecision, apply_filter
@@ -116,14 +117,6 @@ def state_feedback(x, goal, gains) -> np.ndarray:
     for k in range(1, n):
         u -= gains[k] * x[k * m : (k + 1) * m]
     return u
-
-
-def _about(exc: Exception, *fields: str) -> Exception:
-    """Tag ``exc`` with the Scenario fields it concerns, most specific
-    first, so that ``parse_config`` can name the line of the first one
-    the config sets."""
-    exc._fields = fields
-    return exc
 
 
 @dataclass(frozen=True)

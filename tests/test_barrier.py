@@ -350,13 +350,12 @@ def test_held_block_matches_single_instants(order):
                     for start in range(0, count, HOLD_BLOCK):
                         stop = min(start + HOLD_BLOCK, count)
                         held.hold(times[start:stop])
-                        # levels 2..n, each item stacked over the instants
-                        for level, items in enumerate(held._held[1], start=1):
-                            for j, item in enumerate(items):
-                                stacked = [
-                                    want[k][0][level][j] for k in range(start, stop)
-                                ]
-                                assert np.array_equal(item, stacked)
+                        # the jets of every level and the evaluation stack,
+                        # each stacked over the instants
+                        _, jets, stacks = held._held
+                        for item, part in ((jets, 0), (stacks, 1)):
+                            one_by_one = [want[k][0][part] for k in range(start, stop)]
+                            assert np.array_equal(item, one_by_one)
                         for k in range(start, stop):
                             _assert_evaluations_equal(
                                 held.evaluate(xs[k], times[k]), want[k][1]
@@ -379,9 +378,9 @@ def test_held_block_ends_at_the_first_rejected_instant():
     chain = build()
     times = [0.9 + k * 0.01 for k in range(20)]
     chain.hold(times)
-    index, block = chain._held
+    index, jets, stacks = chain._held
     assert sorted(index.values()) == list(range(10))  # 0.9 .. 0.99
-    assert all(len(r) == 10 for _, _, r, *_ in block)
+    assert len(jets) == len(stacks) == 10
     x = np.array([3.0, 0.5, 0.1, -0.2, 0.3, 0.0])
     for t in times[:10]:
         _assert_evaluations_equal(chain.evaluate(x, t), build().evaluate(x, t))
@@ -392,7 +391,7 @@ def test_held_block_ends_at_the_first_rejected_instant():
     assert chain.eval_level(1, x, times[10]).value == level1
     # a block whose first instant is rejected holds nothing
     chain.hold(times[10:])
-    assert chain._held == ({}, [])
+    assert chain._held == ({}, None, None)
 
     # a gain that rejects one instant only: the block still ends there,
     # and the instants after it are evaluated one at a time
@@ -406,6 +405,7 @@ def test_held_block_ends_at_the_first_rejected_instant():
     gap, reference = build(GapGain()), build(LinearGain())
     gap.hold(times)
     assert sorted(gap._held[0].values()) == list(range(5))
+    assert len(gap._held[1]) == len(gap._held[2]) == 5
     with pytest.raises(DomainError):
         gap.evaluate(x, times[5])
     for t in times[:5] + times[6:]:
@@ -415,9 +415,9 @@ def test_held_block_ends_at_the_first_rejected_instant():
 def test_with_levels_copy_and_lifted_chains_hold_no_block():
     chain = _chain(order=3, levels=(2.0, 1.5, 1.0), robust=True, theta=0.3)
     chain.hold([0.1, 0.2, 0.3])
-    assert len(chain._held[0]) == 3
+    assert len(chain._held[0]) == len(chain._held[1]) == len(chain._held[2]) == 3
     copy = chain.with_levels((3.0, 2.0, 1.0))
-    assert copy._held == ({}, [])
+    assert copy._held == ({}, None, None)
     x = np.array([2.0, 0.5, 0.1, -0.2, 0.3, 0.0])
     _assert_evaluations_equal(
         copy.evaluate(x, 0.2),
@@ -430,7 +430,33 @@ def test_with_levels_copy_and_lifted_chains_hold_no_block():
         disturbance_bound=0.3,
     )
     lifted.hold([0.1, 0.2, 0.3])
-    assert lifted._held == ({}, [])
+    assert lifted._held == ({}, None, None)
+
+
+def test_level_one_never_consults_the_gain(monkeypatch):
+    # level 1 is the oracle alone: evaluating it at a new instant, at a
+    # held one or outside the gain's domain takes no gain value or power
+    calls = []
+    for name in ("value", "power_jet"):
+        method = getattr(LinearGain, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(LinearGain, name, counted)
+    closed = _chain(order=3, levels=(2.0, 1.5, 1.0), robust=True, theta=0.3)
+    lifted = BarrierChain(
+        closed.system, lambda xt: closed.oracle(xt), closed.schedule,
+        disturbance_bound=0.3,
+    )
+    closed.hold([0.1, 0.2, 0.3])
+    calls.clear()
+    x = np.array([2.0, 0.5, 0.1, -0.2, 0.3, 0.0])
+    for chain in (closed, lifted):
+        for t in (0.1, 0.2, 0.25, 0.25, -0.5, 0.3):
+            assert chain.eval_level(1, x, t).value == closed.oracle(x)
+    assert calls == []
 
 
 def test_level_index_range():

@@ -238,6 +238,24 @@ def test_step_that_misses_t_final_is_a_config_error(tmp_path, capsys, text, over
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "check-gains"])
+@pytest.mark.parametrize(
+    "text", ["[gains]\nlevels = 1, 2, 3\n", "[barrier]\nsmoothing = 0.2, 0.3, 0.4\n"]
+)
+def test_level_list_of_the_wrong_length_is_a_config_error(
+    tmp_path, capsys, command, text
+):
+    # the order-2 default takes two gains and one or two smoothing constants
+    cfg = _write(tmp_path, text + FAST_CFG)
+    out = tmp_path / "o"
+    extra = ["--out", str(out)] if command == "simulate" else []
+    assert cli.main([command, "--config", cfg, *extra]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: line 2: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_unsafe_start_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "[run]\nx0 = 2, 2, 0, 0\nt_final = 0.5\n")
     assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_UNSAFE

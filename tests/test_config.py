@@ -318,6 +318,42 @@ def test_scenario_errors_carry_the_line_of_their_key(text, line, detail):
     assert str(info.value).startswith(f"line {line}: ") and detail in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, detail",
+    [
+        ("[gains]\nlevels = 1, 2, 3\n", 2, "levels lists 3 gains, system order is 2"),
+        ("[system]\norder = 3\n[gains]\nlevels = 1, 2\n", 4, "levels lists 2 gains"),
+        ("[barrier]\nsmoothing = 0.2, 0.3, 0.4\n", 2, "smoothing lists 3 constants"),
+        ("[system]\norder = 4\n[barrier]\nsmoothing = 0.2, 0.3\n", 4,
+         "one per level (4)"),
+    ],
+)
+def test_level_lists_of_the_wrong_length_carry_their_line(text, line, detail):
+    # one gain and one smoothing constant per level (a single smoothing
+    # constant is repeated); the chain would refuse any other length
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert _line_of(info.value) == line
+    assert str(info.value).startswith(f"line {line}: ") and detail in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, line, detail",
+    [
+        ("[barrier]\nkind = circle\nradius = -1\n", 3, "radius must be positive"),
+        ("[barrier]\nkind = halfplane\nnormal = 0, 0\n", 3, "normal must be nonzero"),
+        ("[barrier]\nkind = polynomial\nterms = 1 x1^0\n", 3, "bad monomial factors"),
+        ("[system]\norder = 1\n", 2, "order must be an integer >= 2"),
+        ("[system]\norder = 2\naxes = 0\n", 3, "axes must be an integer >= 1"),
+    ],
+)
+def test_oracle_and_system_errors_carry_the_line_of_their_key(text, line, detail):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert _line_of(info.value) == line
+    assert str(info.value).startswith(f"line {line}: ") and detail in str(info.value)
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = (
         "# leading comment\n"

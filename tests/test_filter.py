@@ -200,3 +200,46 @@ def test_filter_checks_input_shape():
     chain = _make_chain()
     with pytest.raises(DimensionError):
         safety_filter(chain, [2.0, 0.0, 1.0, 0.0], 0.0, [0.0, 0.0, 0.0])
+
+
+def test_gain_value_taken_once_per_instant(monkeypatch):
+    # many states at one instant: the filter takes the top level's gain
+    # value once there, and every decision equals that of a fresh chain
+    calls = []
+    value = LinearGain.value
+
+    def counted(self, t):
+        calls.append(float(t))
+        return value(self, t)
+
+    monkeypatch.setattr(LinearGain, "value", counted)
+
+    def build():
+        return _make_chain(
+            order=3, levels=(2.0, 1.5, 1.0), robust=True, theta=0.3,
+            smoothing=(0.5, 0.4, 0.3), center=(2.0, 2.0),
+            include_time_partial=True, exponent_factor=1.5,
+        )
+
+    rng = np.random.default_rng(71)
+    chain = build()
+    for t in (0.4, 1.3, 0.4):
+        states = rng.uniform(-1.0, 1.0, size=(25, 6))
+        u_nos = rng.uniform(-5.0, 5.0, size=(25, 2))
+        evaluations = [chain.evaluate(x, t) for x in states]
+        calls.clear()
+        decisions = [
+            apply_filter(chain, ev, t, u_no) for ev, u_no in zip(evaluations, u_nos)
+        ]
+        assert calls == [t]
+        for x, u_no, got in zip(states, u_nos, decisions):
+            want = safety_filter(build(), x, t, u_no)
+            assert np.array_equal(got.u, want.u) and got.slack == want.slack
+            assert np.array_equal(got.row, want.row) and got.offset == want.offset
+            assert got.branch == want.branch
+    # safety_filter at a new instant: the two gain powers of the chain's
+    # recursion and the filter's one value, for all 25 states
+    calls.clear()
+    for x, u_no in zip(states, u_nos):
+        safety_filter(chain, x, 0.7, u_no)
+    assert calls == [0.7] * 3
