@@ -1,15 +1,11 @@
-"""Forward-mode differentiation to first and second order.
+"""Forward-mode differentiation.
 
-A :class:`SecondOrderNumber` carries a value, a gradient and a full
-Hessian through arithmetic; a :class:`FirstOrderNumber` carries only
-value and gradient.  Entries are duck-typed: they are plain floats in
-ordinary use, but may themselves be lifted numbers, so lifting can be
-nested when derivatives of derivatives are required.  Nested consumers
-that only read the gradient of the inner result should lift with
-:func:`lift_first`; the Hessians they would otherwise drag along cost
-an extra factor of the dimension per nesting level.  Hessians stay
-exactly symmetric because every formula below is written symmetrically
-and IEEE addition/multiplication commute.
+A :class:`FirstOrderNumber` carries a value and a gradient through
+arithmetic.  Entries are duck-typed: they are plain floats in ordinary
+use, but may themselves be lifted numbers, so lifting can be nested
+when derivatives of derivatives are required: the gradient entries of
+a number lifted over already lifted inputs are numbers at the outer
+depth, and their own gradients are rows of the Hessian.
 """
 
 from __future__ import annotations
@@ -17,16 +13,12 @@ from __future__ import annotations
 import math
 import numbers
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
-    "SecondOrderNumber",
     "FirstOrderNumber",
     "lift",
     "lift_first",
-    "grad_hess",
     "unwrap",
     "sin",
     "cos",
@@ -38,173 +30,10 @@ __all__ = [
 _SCALAR = numbers.Real
 
 
-class SecondOrderNumber:
-    """Value, gradient and Hessian propagated together.
-
-    ``grad`` is a tuple of length ``dim`` and ``hess`` a tuple of
-    ``dim`` row tuples.  The instance is immutable.
-    """
-
-    __slots__ = ("value", "grad", "hess")
-
-    def __init__(self, value, grad, hess):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "grad", tuple(grad))
-        object.__setattr__(self, "hess", tuple(tuple(row) for row in hess))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SecondOrderNumber is immutable")
-
-    @property
-    def dim(self):
-        return len(self.grad)
-
-    def __repr__(self):
-        return f"SecondOrderNumber({self.value!r}, grad={self.grad!r})"
-
-    # -- ring operations ------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, SecondOrderNumber):
-            return SecondOrderNumber(
-                self.value + other.value,
-                tuple(a + b for a, b in zip(self.grad, other.grad)),
-                tuple(
-                    tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.hess, other.hess)
-                ),
-            )
-        if isinstance(other, _SCALAR):
-            return SecondOrderNumber(self.value + other, self.grad, self.hess)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SecondOrderNumber(
-            -self.value,
-            tuple(-g for g in self.grad),
-            tuple(tuple(-h for h in row) for row in self.hess),
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, SecondOrderNumber):
-            return SecondOrderNumber(
-                self.value - other.value,
-                tuple(a - b for a, b in zip(self.grad, other.grad)),
-                tuple(
-                    tuple(a - b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.hess, other.hess)
-                ),
-            )
-        if isinstance(other, _SCALAR):
-            return SecondOrderNumber(self.value - other, self.grad, self.hess)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _SCALAR):
-            return (-self) + other
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, SecondOrderNumber):
-            av, bv = self.value, other.value
-            ag, bg = self.grad, other.grad
-            grad = tuple(ag[j] * bv + av * bg[j] for j in range(len(ag)))
-            hess = tuple(
-                tuple(
-                    ra[k] * bv + av * rb[k] + ag[j] * bg[k] + ag[k] * bg[j]
-                    for k in range(len(ag))
-                )
-                for j, (ra, rb) in enumerate(zip(self.hess, other.hess))
-            )
-            return SecondOrderNumber(av * bv, grad, hess)
-        if isinstance(other, _SCALAR):
-            return SecondOrderNumber(
-                self.value * other,
-                tuple(g * other for g in self.grad),
-                tuple(tuple(h * other for h in row) for row in self.hess),
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SecondOrderNumber):
-            bv = other.value
-            if unwrap(bv) == 0.0:
-                raise ZeroDivisionError("division by a number with zero value part")
-            q = self.value / bv
-            ag, bg = self.grad, other.grad
-            grad = tuple((ag[j] - q * bg[j]) / bv for j in range(len(ag)))
-            hess = tuple(
-                tuple(
-                    (ra[k] - q * rb[k] - grad[j] * bg[k] - grad[k] * bg[j]) / bv
-                    for k in range(len(ag))
-                )
-                for j, (ra, rb) in enumerate(zip(self.hess, other.hess))
-            )
-            return SecondOrderNumber(q, grad, hess)
-        if isinstance(other, _SCALAR):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1.0 / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _SCALAR):
-            return constant(other, len(self.grad)) / self
-        return NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, _SCALAR):
-            return NotImplemented
-        v = self.value
-        v0 = unwrap(v)
-        if k == 0:
-            return constant(1.0, len(self.grad))
-        if k == 1:
-            return self
-        is_int = float(k).is_integer()
-        if not is_int and v0 < 0.0:
-            raise DomainError(f"fractional power of negative base {v0}")
-        if v0 == 0.0 and k < 0:
-            raise ZeroDivisionError("negative power of zero")
-        if v0 == 0.0 and not is_int and k < 2:
-            raise DomainError(f"power {k} of zero base has singular derivatives")
-        c1 = k * v ** (k - 1)
-        c2 = k * (k - 1) * v ** (k - 2)
-        g = self.grad
-        grad = tuple(c1 * gj for gj in g)
-        hess = tuple(
-            tuple(c2 * (g[j] * g[k2]) + c1 * row[k2] for k2 in range(len(g)))
-            for j, row in enumerate(self.hess)
-        )
-        return SecondOrderNumber(v**k, grad, hess)
-
-    # comparisons act on the value part, which keeps branch logic
-    # (argument checks, max/min) working on lifted inputs
-    def __lt__(self, other):
-        return unwrap(self.value) < _other_value(other)
-
-    def __le__(self, other):
-        return unwrap(self.value) <= _other_value(other)
-
-    def __gt__(self, other):
-        return unwrap(self.value) > _other_value(other)
-
-    def __ge__(self, other):
-        return unwrap(self.value) >= _other_value(other)
-
-    def __float__(self):
-        return float(unwrap(self.value))
-
-
 class FirstOrderNumber:
-    """Value and gradient propagated together, no Hessian.
+    """Value and gradient propagated together.
 
-    Same duck-typing contract as :class:`SecondOrderNumber`; meant for
-    inner lifts whose consumer only reads the gradient.
+    ``grad`` is a tuple of length ``dim``.  The instance is immutable.
     """
 
     __slots__ = ("value", "grad")
@@ -215,10 +44,6 @@ class FirstOrderNumber:
 
     def __setattr__(self, name, value):
         raise AttributeError("FirstOrderNumber is immutable")
-
-    @property
-    def dim(self):
-        return len(self.grad)
 
     def __repr__(self):
         return f"FirstOrderNumber({self.value!r}, grad={self.grad!r})"
@@ -308,40 +133,27 @@ class FirstOrderNumber:
         c1 = k * v ** (k - 1)
         return FirstOrderNumber(v**k, tuple(c1 * g for g in self.grad))
 
+    # comparisons act on the value part, which keeps branch logic
+    # (argument checks, max/min) working on lifted inputs
     def __lt__(self, other):
-        return unwrap(self.value) < _other_value(other)
+        return unwrap(self) < unwrap(other)
 
     def __le__(self, other):
-        return unwrap(self.value) <= _other_value(other)
+        return unwrap(self) <= unwrap(other)
 
     def __gt__(self, other):
-        return unwrap(self.value) > _other_value(other)
+        return unwrap(self) > unwrap(other)
 
     def __ge__(self, other):
-        return unwrap(self.value) >= _other_value(other)
+        return unwrap(self) >= unwrap(other)
 
     def __float__(self):
-        return float(unwrap(self.value))
-
-
-_LIFTED = (SecondOrderNumber, FirstOrderNumber)
-
-
-def _other_value(other):
-    if isinstance(other, _LIFTED):
-        return unwrap(other.value)
-    return other
-
-
-def constant(value, dim):
-    """A second-order number with zero derivative seeds."""
-    zero_row = (0.0,) * dim
-    return SecondOrderNumber(value, zero_row, (zero_row,) * dim)
+        return unwrap(self)
 
 
 def unwrap(x):
     """Peel nested value parts down to a plain float."""
-    while isinstance(x, _LIFTED):
+    while isinstance(x, FirstOrderNumber):
         x = x.value
     return float(x)
 
@@ -349,24 +161,11 @@ def unwrap(x):
 def lift(values):
     """Seed a vector for differentiation.
 
-    Returns one :class:`SecondOrderNumber` per entry with a unit
-    gradient in its own slot and a zero Hessian; positions follow input
-    order.  Entries may themselves be lifted numbers, which nests the
-    differentiation one order deeper.
+    Returns one :class:`FirstOrderNumber` per entry with a unit
+    gradient in its own slot; positions follow input order.  Entries
+    may themselves be lifted numbers, which nests the differentiation
+    one order deeper.
     """
-    vals = list(values)
-    d = len(vals)
-    zero_row = (0.0,) * d
-    zero_hess = (zero_row,) * d
-    out = []
-    for j, v in enumerate(vals):
-        grad = zero_row[:j] + (1.0,) + zero_row[j + 1 :]
-        out.append(SecondOrderNumber(v, grad, zero_hess))
-    return tuple(out)
-
-
-def lift_first(values):
-    """First-order analogue of :func:`lift`: unit gradient seeds only."""
     vals = list(values)
     d = len(vals)
     zero_row = (0.0,) * d
@@ -376,75 +175,49 @@ def lift_first(values):
     )
 
 
-def grad_hess(f, x):
-    """Value, gradient and Hessian of scalar field ``f`` at point ``x``.
-
-    ``f`` must accept a sequence of duck scalars.  The returned gradient
-    and Hessian are float arrays; the Hessian is symmetric.
-    """
-    seeds = lift([float(v) for v in x])
-    y = f(seeds)
-    if isinstance(y, SecondOrderNumber):
-        return (
-            unwrap(y.value),
-            np.array([unwrap(g) for g in y.grad], dtype=float),
-            np.array([[unwrap(h) for h in row] for row in y.hess], dtype=float),
-        )
-    d = len(seeds)
-    return float(y), np.zeros(d), np.zeros((d, d))
+lift_first = lift  # the benchmark's span tracer resolves both names
 
 
 # -- elementary functions, duck-typed ----------------------------------
 
 
-def _unary(x, f, df, d2f):
-    """Apply ``f`` with chain rule; derivative factors are duck scalars."""
-    if isinstance(x, FirstOrderNumber):
-        c1 = df(x.value)
-        return FirstOrderNumber(f(x.value), tuple(c1 * gj for gj in x.grad))
-    if not isinstance(x, SecondOrderNumber):
-        return f(x)
+def _unary(x, f, df):
+    """Apply ``f`` to a lifted ``x`` by the chain rule; ``df`` is applied
+    to the value part, so it may itself be lifted."""
     c1 = df(x.value)
-    c2 = d2f(x.value)
-    g = x.grad
-    grad = tuple(c1 * gj for gj in g)
-    hess = tuple(
-        tuple(c2 * (g[j] * g[k]) + c1 * row[k] for k in range(len(g)))
-        for j, row in enumerate(x.hess)
-    )
-    return SecondOrderNumber(f(x.value), grad, hess)
+    return FirstOrderNumber(f(x.value), tuple(c1 * gj for gj in x.grad))
 
 
 def sin(x):
-    if isinstance(x, _LIFTED):
-        return _unary(x, sin, cos, lambda v: -sin(v))
+    if isinstance(x, FirstOrderNumber):
+        return _unary(x, sin, cos)
     return math.sin(x)
 
 
 def cos(x):
-    if isinstance(x, _LIFTED):
-        return _unary(x, cos, lambda v: -sin(v), lambda v: -cos(v))
+    if isinstance(x, FirstOrderNumber):
+        return _unary(x, cos, lambda v: -sin(v))
     return math.cos(x)
 
 
 def exp(x):
-    if isinstance(x, _LIFTED):
-        return _unary(x, exp, exp, exp)
+    if isinstance(x, FirstOrderNumber):
+        return _unary(x, exp, exp)
     return math.exp(x)
 
 
 def log(x):
-    if isinstance(x, _LIFTED):
+    if isinstance(x, FirstOrderNumber):
         if unwrap(x.value) <= 0.0:
             raise DomainError(f"log of non-positive value {unwrap(x.value)}")
-        return _unary(x, log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v))
+        return _unary(x, log, lambda v: 1.0 / v)
     if x <= 0.0:
         raise DomainError(f"log of non-positive value {x}")
     return math.log(x)
 
 
 def sqrt(x):
-    if isinstance(x, _LIFTED):
+    if isinstance(x, FirstOrderNumber):
         if unwrap(x.value) <= 0.0:
             raise DomainError(f"sqrt of non-positive value {unwrap(x.value)}")
         return x**0.5

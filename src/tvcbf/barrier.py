@@ -38,11 +38,13 @@ instants, with the instants as an axis of every array, and an
 evaluation at one of them only looks its stack up.
 
 Any other oracle (a ``PolynomialBarrier`` of degree 3 or more, a user
-callable) takes the lifted path: the recursion re-lifts its inputs at
-every level through ``tvcbf.autodiff``, so the gradient of level i-1 is
-available as differentiable quantities when level i is formed.  Its
-cost grows about tenfold with each added order.  Neither path uses
-finite differences.
+callable) takes the lifted path, one recursion over first-order
+``tvcbf.autodiff`` numbers: level i is formed from the levels below
+evaluated over its inputs lifted once more, so the gradient of level
+i-1 is at hand as differentiable numbers when level i is formed.  One
+lift of (x, t) on top of that gives every level's value and the top
+level's gradient and time partial.  Its cost grows about tenfold with
+each added order.  Neither path uses finite differences.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff
-from .autodiff import FirstOrderNumber, SecondOrderNumber, unwrap
+from .autodiff import FirstOrderNumber, unwrap
 from .chain import IntegratorChain
 from .errors import (
     DimensionError,
@@ -88,9 +90,11 @@ _ONE.flags.writeable = False
 # -- barrier oracles ----------------------------------------------------
 
 
-def _check_leading(k: int, dim: int, what: str) -> int:
+def _check_leading(k: int, dim: int, what: str, field: str) -> int:
     if k > dim:
-        raise DimensionError(f"{what} has {k} entries, state has only {dim}")
+        raise _about(
+            DimensionError(f"{what} has {k} entries, state has only {dim}"), field
+        )
     return k
 
 
@@ -129,7 +133,7 @@ class CircularObstacle:
 
     def quadratic_form(self, dim: int):
         """(P, q, r) with h(x) = 0.5 x'Px + q'x + r over a length-dim state."""
-        k = _check_leading(len(self.center), dim, "obstacle center")
+        k = _check_leading(len(self.center), dim, "obstacle center", "center")
         c = np.array(self.center)
         p = np.zeros((dim, dim))
         p[range(k), range(k)] = 1.0
@@ -161,7 +165,7 @@ class HalfPlane:
 
     def quadratic_form(self, dim: int):
         """(P, q, r) with h(x) = 0.5 x'Px + q'x + r over a length-dim state."""
-        k = _check_leading(len(self.normal), dim, "half-plane normal")
+        k = _check_leading(len(self.normal), dim, "half-plane normal", "normal")
         q = np.zeros(dim)
         q[:k] = self.normal
         return np.zeros((dim, dim)), q, -self.offset
@@ -268,16 +272,6 @@ def robust_margin(gradient, mu: float, theta: float) -> float:
         raise ParameterError(f"disturbance bound must be nonnegative, got {theta}")
     g = np.asarray(gradient, dtype=float)
     return float(g @ g) / (4.0 * mu) + mu * theta * theta
-
-
-class _LevelSink:
-    """Collects per-level values (and the level-1 gradient) during a pass."""
-
-    __slots__ = ("values", "grad1_sq")
-
-    def __init__(self):
-        self.values = {}
-        self.grad1_sq = None
 
 
 class BarrierChain:
@@ -525,32 +519,30 @@ class BarrierChain:
 
     # -- recursive lifted evaluation ----------------------------------
 
-    def _eval_scalar(self, i, xt, sink):
-        """Level-i value in duck arithmetic; xt = state entries plus time.
+    def _levels(self, i, xt):
+        """[h_1 .. h_i] in duck arithmetic at the lift depth of ``xt``,
+        the state entries followed by the time.
 
-        Gradients of the lower level are obtained by re-lifting the
-        inputs, so the returned object keeps the ambient lift depth of
-        ``xt`` and carries exact derivatives at that depth.
+        Level i is formed from the levels below evaluated over ``xt``
+        lifted once more, so the gradient of level i-1 is at hand as
+        numbers at the depth of ``xt``.  That inner lift seeds the state
+        entries only and carries the time with a zero gradient: no level
+        reads the time derivative of the level below.
         """
-        dim = self.system.dim
         if i == 1:
-            val = self.oracle(xt)
-            if sink is not None:
-                sink.values[1] = unwrap(val)
-                if isinstance(val, (SecondOrderNumber, FirstOrderNumber)):
-                    sink.grad1_sq = math.fsum(
-                        unwrap(g) ** 2 for g in val.grad[:dim]
-                    )
-            return val
-        seeds = autodiff.lift_first(xt)
-        prev = self._eval_scalar(i - 1, seeds, sink)
+            return [self.oracle(xt)]
+        dim, m = self.system.dim, self.system.axes
+        t = xt[dim]
+        below = self._levels(
+            i - 1, autodiff.lift(xt[:dim]) + (FirstOrderNumber(t, (0.0,) * dim),)
+        )
+        prev = below[-1]
         g = prev.grad
-        m = self.system.axes
         lf = 0.0
         for j in range(dim - m):
             lf = lf + g[j] * xt[j + m]
         scale = self.schedule.levels[i - 2] * (
-            self.gain_function.value(xt[dim]) ** self._exponents[i - 2]
+            self.gain_function.value(t) ** self._exponents[i - 2]
         )
         val = scale * prev.value + lf
         if self.schedule.robust:
@@ -559,60 +551,12 @@ class BarrierChain:
                 sq = sq + g[j] * g[j]
             mu = self.smoothing[i - 2]
             val = val - (sq / (4.0 * mu) + mu * self._bound_sq)
-        if sink is not None:
-            sink.values[i] = unwrap(val)
-        return val
+        return [h.value for h in below] + [val]
 
-    def _assemble(self, i, x, t, sink=None):
-        """Level-i evaluation with spatial gradient and time partial.
-
-        The level below is evaluated once under a joint (x, t) lift;
-        level i's derivatives then follow from the product and chain
-        rules, which stays one lift shallower than differentiating
-        level i directly.
-        """
+    def _lifted(self, i, x, t):
+        """Levels 1..i at (x, t), each lifted over (x, t)."""
         x = self._check_state(x)
-        dim = self.system.dim
-        m = self.system.axes
-        t = float(t)
-        xt = tuple(x) + (t,)
-        seeds = autodiff.lift(xt)
-
-        if i == 1:
-            y = self._eval_scalar(1, seeds, sink)
-            value = unwrap(y.value)
-            grad = np.array([unwrap(gj) for gj in y.grad[:dim]])
-            tp = unwrap(y.grad[dim])
-            if sink is not None:
-                sink.values[1] = value
-        else:
-            prev = self._eval_scalar(i - 1, seeds, sink)
-            v = unwrap(prev.value)
-            g = np.array([unwrap(gj) for gj in prev.grad])
-            hess = np.array([[unwrap(e) for e in row] for row in prev.hess])
-            g_x = g[:dim]
-            g_t = g[dim]
-            h_xx = hess[:dim, :dim]
-            h_tx = hess[dim, :dim]
-            ax = self.system.drift(x)
-
-            rho = self.schedule.levels[i - 2]
-            exponent = self._exponents[i - 2]
-            theta_val, theta_dot = self.gain_function.power_jet(exponent, t)
-
-            value = rho * theta_val * v + float(g_x @ ax)
-            grad = rho * theta_val * g_x + h_xx @ ax
-            grad[m:] += g_x[: dim - m]  # shift: gradient of the drift term in x
-            tp = rho * (theta_dot * v + theta_val * g_t) + float(h_tx @ ax)
-            if self.schedule.robust:
-                mu = self.smoothing[i - 2]
-                value -= float(g_x @ g_x) / (4.0 * mu) + mu * self._bound_sq
-                grad -= h_xx @ g_x / (2.0 * mu)
-                tp -= float(h_tx @ g_x) / (2.0 * mu)
-            if sink is not None:
-                sink.values[i] = value
-
-        return BarrierEvaluation(i, float(value), grad, float(tp))
+        return self._levels(i, autodiff.lift(tuple(x) + (float(t),)))
 
     # -- public API -----------------------------------------------------
 
@@ -623,7 +567,8 @@ class BarrierChain:
                 f"level index must be in 1..{self.order}, got {i}"
             )
         if self._jets1 is None:
-            return self._assemble(i, x, t)
+            top = self._lifted(i, x, t)[-1]
+            return BarrierEvaluation(i, unwrap(top), *_derivatives(top))
         jets, _ = self._coefficients(i, float(t))
         xt = np.concatenate((self._check_state(x), _ONE))
         hx = jets[i - 1] @ xt  # (H x~, dH/dt x~) of level i
@@ -634,16 +579,10 @@ class BarrierChain:
         """All level values plus top-level derivatives in a single pass."""
         x = self._check_state(x)
         if self._jets1 is None:
-            sink = _LevelSink()
-            top = self._assemble(self.order, x, t, sink)
-            values = [sink.values[i] for i in range(1, self.order + 1)]
-            gradient, time_partial = top.gradient, top.time_partial
-            grad1_norm = (
-                math.sqrt(sink.grad1_sq)
-                if sink.grad1_sq is not None
-                else float(np.linalg.norm(gradient))
-            )
-            values = np.array(values)
+            levels = self._lifted(self.order, x, t)
+            values = np.array([unwrap(h) for h in levels])
+            gradient, time_partial = _derivatives(levels[-1])
+            grad1, _ = _derivatives(levels[0])
         else:
             _, stack = self._coefficients(self.order, float(t))
             xt = np.concatenate((x, _ONE))
@@ -651,20 +590,25 @@ class BarrierChain:
             quad = 0.5 * (hx @ xt)
             values, time_partial = quad[:-1], float(quad[-1])
             gradient, grad1 = hx[-2, :-1], hx[0, :-1]
-            grad1_norm = math.sqrt(float(grad1 @ grad1))
         m = self.system.axes
         return ChainEvaluation(
             values=values,
             gradient=gradient,
             time_partial=time_partial,
             drift_rate=float(gradient[:-m] @ x[m:]),  # gradient . (A x)
-            level1_gradient_norm=grad1_norm,
+            level1_gradient_norm=math.sqrt(float(grad1 @ grad1)),
         )
 
     def validate_initialization(self, x0, t0):
         """(level, value, positive?) for every level at the start point."""
         ev = self.evaluate(x0, t0)
         return [(i + 1, float(v), bool(v > 0.0)) for i, v in enumerate(ev.values)]
+
+
+def _derivatives(h):
+    """(spatial gradient, time partial) of a level lifted over (x, t)."""
+    grad = np.array([unwrap(g) for g in h.grad])
+    return grad[:-1], float(grad[-1])
 
 
 def _stack(jets):

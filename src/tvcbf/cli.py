@@ -4,7 +4,8 @@ Three subcommands: ``simulate`` runs one scenario and writes its
 artifacts (CSV, two SVG plots, metrics, effective config); ``compare``
 runs all three controller modes on the same config and seed and prints
 a table; ``check-gains`` reports what the initial-gain rules pick for
-the configured start state.
+the configured start state, and tabulates every level there under the
+gains the run uses (the configured ones when ``levels`` is set).
 
 Exit codes: 0 success, 2 config error, 3 simulation/runtime error,
 4 safety-initialization failure.
@@ -195,6 +196,10 @@ def _cmd_check_gains(args) -> int:
             "configured_gains = "
             + ", ".join(repr(g) for g in scenario.barrier_gains)
         )
+        # the run uses the configured gains, so those are the ones checked
+        chain = template.with_levels(scenario.barrier_gains)
+    checked = "suggested" if scenario.barrier_gains is None else "configured"
+    print(f"checked_gains = {checked}")
     rows = chain.validate_initialization(scenario.x0, scenario.t0)
     print("level  value          positive")
     for level, value, positive in rows:
@@ -202,7 +207,10 @@ def _cmd_check_gains(args) -> int:
     if all(positive for _, _, positive in rows):
         return EXIT_OK
     failing = ", ".join(str(level) for level, _, ok in rows if not ok)
-    print(f"initialization fails at level(s) {failing}", file=sys.stderr)
+    print(
+        f"initialization fails at level(s) {failing} with the {checked} gains",
+        file=sys.stderr,
+    )
     return EXIT_UNSAFE
 
 

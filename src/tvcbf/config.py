@@ -312,12 +312,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Raises ConfigError with a line number for structural problems and
     bad values, for a ``levels`` or ``smoothing`` list whose length is
-    not the system order, and for the checks that the system, the
-    barrier and ``Scenario`` make of their keys (an ``order`` below 2,
-    a non-positive ``radius``, a ``dt`` that does not divide the span,
-    an ``x0`` of the wrong length).  Such an error names the line of
-    the key it concerns; one that concerns a key the config leaves at
-    its default carries no line.
+    not the system order or that holds a non-positive entry, and for
+    the checks that the system, the barrier and ``Scenario`` make of
+    their keys (an ``order`` below 2, a non-positive ``radius``, a
+    ``center`` or ``normal`` longer than the state, a ``dt`` that does
+    not divide the span, an ``x0`` of the wrong length).  Such an error
+    names the line of the key it concerns; one that concerns a key the
+    config leaves at its default carries no line.
     """
     sections = _tokenize(text)
 
@@ -372,6 +373,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"levels lists {len(levels)} gains, system order is {order}",
                 line=levels_line,
             )
+        if any(v <= 0.0 for v in levels):
+            raise ConfigError(
+                f"level gains must be positive, got {levels}", line=levels_line
+            )
 
     bar_sec = _section(sections, "barrier")
     bar_kind = bar_sec.get_word("kind", ("circle", "halfplane", "polynomial"), "circle")
@@ -382,6 +387,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"smoothing lists {len(smoothing)} constants; give one, or one per "
             f"level ({order})",
+            line=bar_sec.lines["smoothing"],
+        )
+    if any(v <= 0.0 for v in smoothing):
+        raise ConfigError(
+            f"smoothing constants must be positive, got {smoothing}",
             line=bar_sec.lines["smoothing"],
         )
     include_tp = bar_sec.get_bool("include_time_partial", True)
@@ -403,6 +413,8 @@ def parse_config(text: str) -> ExperimentConfig:
             oracle = PolynomialBarrier(
                 terms=_parse_polynomial_terms(terms_raw, terms_line, order * axes)
             )
+        # a center or normal longer than the state is refused here
+        oracle.quadratic_form(system.dim)
     except ConfigError:
         raise
     except TvcbfError as exc:

@@ -148,14 +148,26 @@ def test_compare_is_deterministic(tmp_path):
 
 
 def test_check_gains_on_presets(capsys):
-    assert cli.main(["check-gains", "--config", _preset_path("paper_fig1.cfg")]) == 0
+    # paper_fig1 configures its gains, and those are the ones checked:
+    # (2.7, 3.0) leave level 2 negative at the start
+    code = cli.main(["check-gains", "--config", _preset_path("paper_fig1.cfg")])
+    assert code == cli.EXIT_UNSAFE
     captured = capsys.readouterr()
     assert "suggested_gains = " in captured.out
     assert "configured_gains = 2.7, 3.0" in captured.out
+    assert "checked_gains = configured" in captured.out
     assert "robust = true" in captured.out
+    rows = [line.split() for line in captured.out.splitlines()[-2:]]
+    assert [row[0] for row in rows] == ["1", "2"]
+    assert rows[0][2] == "yes" and rows[1][2] == "NO"
+    assert float(rows[1][1]) < 0.0
+    assert captured.err == (
+        "initialization fails at level(s) 2 with the configured gains\n"
+    )
 
     assert cli.main(["check-gains", "--config", _preset_path("triple_demo.cfg")]) == 0
     captured = capsys.readouterr()
+    assert "checked_gains = suggested" in captured.out
     level_rows = [
         line for line in captured.out.splitlines()
         if line and line.split()[0] in {"1", "2", "3"}
@@ -240,12 +252,19 @@ def test_step_that_misses_t_final_is_a_config_error(tmp_path, capsys, text, over
 
 @pytest.mark.parametrize("command", ["simulate", "check-gains"])
 @pytest.mark.parametrize(
-    "text", ["[gains]\nlevels = 1, 2, 3\n", "[barrier]\nsmoothing = 0.2, 0.3, 0.4\n"]
+    "text",
+    [
+        "[gains]\nlevels = 1, 2, 3\n",
+        "[barrier]\nsmoothing = 0.2, 0.3, 0.4\n",
+        "[gains]\nlevels = -1, 2\n",
+        "[barrier]\nsmoothing = -0.2\n",
+    ],
 )
 def test_level_list_of_the_wrong_length_is_a_config_error(
     tmp_path, capsys, command, text
 ):
-    # the order-2 default takes two gains and one or two smoothing constants
+    # the order-2 default takes two gains and one or two smoothing
+    # constants, each positive
     cfg = _write(tmp_path, text + FAST_CFG)
     out = tmp_path / "o"
     extra = ["--out", str(out)] if command == "simulate" else []
@@ -253,6 +272,30 @@ def test_level_list_of_the_wrong_length_is_a_config_error(
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: line 2: ")
     assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-gains"])
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("[barrier]\nkind = circle\ncenter = 1, 2, 3, 4, 5\n", "obstacle center"),
+        ("[barrier]\nkind = halfplane\nnormal = 1, 0, 0, 0, 1\n", "half-plane normal"),
+    ],
+)
+def test_oracle_reading_past_the_state_is_a_config_error(
+    tmp_path, capsys, command, text, detail
+):
+    # the order-2, 2-axis default has a 4-entry state
+    cfg = _write(tmp_path, text + FAST_CFG)
+    out = tmp_path / "o"
+    extra = ["--out", str(out)] if command == "simulate" else []
+    assert cli.main([command, "--config", cfg, *extra]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: line 3: {detail} has 5 entries, state has only 4\n"
+    )
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -343,6 +343,10 @@ def test_level_lists_of_the_wrong_length_carry_their_line(text, line, detail):
         ("[barrier]\nkind = circle\nradius = -1\n", 3, "radius must be positive"),
         ("[barrier]\nkind = halfplane\nnormal = 0, 0\n", 3, "normal must be nonzero"),
         ("[barrier]\nkind = polynomial\nterms = 1 x1^0\n", 3, "bad monomial factors"),
+        ("[barrier]\nkind = circle\ncenter = 1, 2, 3, 4, 5\n", 3,
+         "obstacle center has 5 entries, state has only 4"),
+        ("[system]\naxes = 1\n[barrier]\nkind = halfplane\nnormal = 1, 0, 1\n", 5,
+         "half-plane normal has 3 entries, state has only 2"),
         ("[system]\norder = 1\n", 2, "order must be an integer >= 2"),
         ("[system]\norder = 2\naxes = 0\n", 3, "axes must be an integer >= 1"),
     ],
