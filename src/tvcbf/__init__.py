@@ -47,7 +47,7 @@ from .gains import (
     initial_gain_perturbed,
     initial_gain_unperturbed,
 )
-from .qp import FilterDecision, qp_oracle, safety_filter
+from .qp import FilterDecision, safety_filter
 from .sim import (
     Scenario,
     Trajectory,
@@ -96,7 +96,6 @@ __all__ = [
     "initial_gain_perturbed",
     "initial_gain_unperturbed",
     "FilterDecision",
-    "qp_oracle",
     "safety_filter",
     "Scenario",
     "Trajectory",

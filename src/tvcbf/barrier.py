@@ -9,6 +9,12 @@ smooth margin that dominates the worst-case disturbance action:
                + d(level[i-1])/dx . (A x)
                - margin[i-1]                  (robust only)
 
+The chain has n levels, and the same step applied once more to level
+n gives level n+1: the filter's constraint is level n+1 plus the input
+term d(level n)/dx . B u and, when enabled, the time partial of level
+n (the (n+1)-th condition of a high-order CBF).  So every evaluation
+runs the recursion to level n+1, and the filter adds nothing to it.
+
 Oracles with a ``quadratic_form`` (``CircularObstacle``, ``HalfPlane``
 and a ``PolynomialBarrier`` whose terms all have total degree at most
 2) take a closed-form path.  The drift A is the linear shift, so every
@@ -28,11 +34,11 @@ H_i.  Time partials follow by carrying dH/dt along, using ds_i/dt from
 fixed handful of array operations maps to the next pair, so the cost
 grows linearly with the order.  The coefficients depend on t alone,
 so the recursion runs once per time instant, and the chain keeps the
-last instant's levels stacked into one array together with the top
-level's dH/dt.  Every further state at that instant costs two
+last instant's levels 1..n+1 stacked into one array together with
+level n's dH/dt.  Every further state at that instant costs two
 products with that stack, whatever the order: one gives every level's
-gradient (H x~), the next every level's value and the top level's
-time partial.  A closed loop knows its time grid in advance, so
+gradient (H x~), the next every level's value and level n's time
+partial.  A closed loop knows its time grid in advance, so
 ``BarrierChain.hold`` runs the same recursion once over a block of
 instants, with the instants as an axis of every array, and an
 evaluation at one of them only looks its stack up.
@@ -43,8 +49,9 @@ callable) takes the lifted path, one recursion over first-order
 evaluated over its inputs lifted once more, so the gradient of level
 i-1 is at hand as differentiable numbers when level i is formed.  One
 lift of (x, t) on top of that gives every level's value and the top
-level's gradient and time partial.  Its cost grows about tenfold with
-each added order.  Neither path uses finite differences.
+level's gradient and time partial, and one more step of the same
+formula, on plain numbers, gives level n+1.  Its cost grows about
+tenfold with each added order.  Neither path uses finite differences.
 """
 
 from __future__ import annotations
@@ -258,6 +265,7 @@ class ChainEvaluation:
     time_partial: float  # time partial of the top level
     drift_rate: float  # gradient . (A x) of the top level
     level1_gradient_norm: float
+    next_level: float  # h_{n+1}, one more step of the recursion from h_n
 
 
 def robust_margin(gradient, mu: float, theta: float) -> float:
@@ -278,16 +286,15 @@ class BarrierChain:
     """Immutable barrier chain over an integrator system.
 
     ``smoothing`` lists one positive constant per level; level i's
-    constant shapes the margin subtracted when forming level i+1, and
-    the last one shapes the filter constraint's margin.  The robust
+    constant shapes the margin subtracted when forming level i+1, so
+    the last one shapes level n+1, the filter constraint.  The robust
     flag comes from the gain schedule; the unperturbed construction
     ignores ``disturbance_bound`` (it must be 0 there).  After
     construction a chain stores only values that follow from the
     construction arguments and a time: the closed-form levels of the
-    last time it was evaluated at, those of the block of instants
-    passed to the last ``hold``, and the filter's top-level scale at
-    the last time the filter asked for it.  No result depends on the
-    order of calls.
+    last time it was evaluated at and those of the block of instants
+    passed to the last ``hold``.  No result depends on the order of
+    calls.
     """
 
     def __init__(
@@ -340,15 +347,15 @@ class BarrierChain:
         self._bound_sq = self.disturbance_bound**2
         # exponent on the gain value when scaling level i, index i-1
         self._exponents = tuple(schedule.level_exponent(i) for i in range(1, n + 1))
-        # for quadratic oracles, the levels' (H, dH/dt) pairs with level 1
-        # filled in (see _extend); None selects the lifted path
+        # for quadratic oracles, the (H, dH/dt) pairs of levels 1..n+1
+        # with level 1 filled in (see _extend); None selects the lifted path
         dim = system.dim
         form = getattr(oracle, "quadratic_form", None)
         level1 = None if form is None else form(dim)
         self._jets1 = None
         if level1 is not None:
             p, q, r = level1
-            self._jets1 = np.zeros((n, 2, dim + 1, dim + 1))
+            self._jets1 = np.zeros((n + 1, 2, dim + 1, dim + 1))
             h = self._jets1[0, 0]
             h[:dim, :dim] = p
             h[:dim, dim] = h[dim, :dim] = q
@@ -358,7 +365,6 @@ class BarrierChain:
         self._shift[:dim, :dim] = np.eye(dim, k=system.axes)
         self._instant = (None, 0, None, None)  # (t, levels formed, jets, stack)
         self._held = ({}, None, None)  # ({t: index}, jets, stacks) over instants
-        self._scale = (None, None)  # (t, _top_scale at t)
 
     @property
     def order(self) -> int:
@@ -439,7 +445,7 @@ class BarrierChain:
                 nxt -= heh
 
     def hold(self, times):
-        """Compute every level's coefficients at each of ``times`` at once.
+        """Compute the coefficients of levels 1..n+1 at each of ``times`` at once.
 
         The block is kept until the next ``hold`` and replaces the one
         before; an evaluation at one of its instants looks its
@@ -455,9 +461,7 @@ class BarrierChain:
         jets = []
         for t in times:
             try:
-                jets.append(
-                    [self.gain_function.power_jet(e, t) for e in self._exponents[:-1]]
-                )
+                jets.append([self.gain_function.power_jet(e, t) for e in self._exponents])
             except (DomainError, OverflowError):
                 break
         if not jets:
@@ -467,7 +471,7 @@ class BarrierChain:
         block = np.empty(self._jets1.shape[:2] + (count,) + self._jets1.shape[2:])
         block[0] = self._jets1[0][:, None]
         self._extend(
-            block, 1, self.order, lambda k: (jets[:, k - 1, 0], jets[:, k - 1, 1])
+            block, 1, self.order + 1, lambda k: (jets[:, k - 1, 0], jets[:, k - 1, 1])
         )
         block = np.ascontiguousarray(np.moveaxis(block, 2, 0))  # instants first
         self._held = (
@@ -476,8 +480,8 @@ class BarrierChain:
 
     def _coefficients(self, i, t):
         """(jets, stack) at t: levels 1..i (at least) as in ``_extend``,
-        and once all n levels are formed the evaluation stack
-        (H_1 .. H_n, dH_n/dt).
+        and once all n+1 levels are formed the evaluation stack
+        (H_1 .. H_{n+1}, dH_n/dt).
 
         They depend on t alone.  An instant of the held block is looked
         up; otherwise the recursion runs for t alone.  The last
@@ -493,29 +497,15 @@ class BarrierChain:
             if j is None:
                 jets, formed, stack = self._jets1.copy(), 1, None
             else:
-                jets, formed, stack = held_jets[j], self.order, held_stacks[j]
+                jets, formed, stack = held_jets[j], self.order + 1, held_stacks[j]
         if formed < i:
             gain, exponents = self.gain_function, self._exponents
             self._extend(jets, formed, i, lambda k: gain.power_jet(exponents[k - 1], t))
             formed = i
-            if formed == self.order:
+            if formed == self.order + 1:
                 stack = _stack(jets)
         self._instant = (t, formed, jets, stack)
         return jets, stack
-
-    def _top_scale(self, t) -> float:
-        """gain[n] * g(t)**e_n, the scale of h_n in the filter constraint.
-
-        Taken once per instant: the last instant's value is kept, and a
-        time the gain rejects raises on every call.
-        """
-        t = float(t)
-        cached_t, scale = self._scale
-        if cached_t != t:
-            upsilon = self.gain_function.value(t) ** self._exponents[-1]
-            scale = self.schedule.levels[-1] * upsilon
-            self._scale = (t, scale)
-        return scale
 
     # -- recursive lifted evaluation ----------------------------------
 
@@ -531,18 +521,22 @@ class BarrierChain:
         """
         if i == 1:
             return [self.oracle(xt)]
-        dim, m = self.system.dim, self.system.axes
-        t = xt[dim]
+        dim = self.system.dim
         below = self._levels(
-            i - 1, autodiff.lift(xt[:dim]) + (FirstOrderNumber(t, (0.0,) * dim),)
+            i - 1, autodiff.lift(xt[:dim]) + (FirstOrderNumber(xt[dim], (0.0,) * dim),)
         )
-        prev = below[-1]
+        return [h.value for h in below] + [self._form(i, below[-1], xt)]
+
+    def _form(self, i, prev, xt):
+        """Level i at ``xt`` from level i-1 lifted over the state entries
+        of ``xt`` (any further gradient entry is not read)."""
+        dim, m = self.system.dim, self.system.axes
         g = prev.grad
         lf = 0.0
         for j in range(dim - m):
             lf = lf + g[j] * xt[j + m]
         scale = self.schedule.levels[i - 2] * (
-            self.gain_function.value(t) ** self._exponents[i - 2]
+            self.gain_function.value(xt[dim]) ** self._exponents[i - 2]
         )
         val = scale * prev.value + lf
         if self.schedule.robust:
@@ -551,7 +545,7 @@ class BarrierChain:
                 sq = sq + g[j] * g[j]
             mu = self.smoothing[i - 2]
             val = val - (sq / (4.0 * mu) + mu * self._bound_sq)
-        return [h.value for h in below] + [val]
+        return val
 
     def _lifted(self, i, x, t):
         """Levels 1..i at (x, t), each lifted over (x, t)."""
@@ -576,27 +570,30 @@ class BarrierChain:
         return BarrierEvaluation(i, float(value), hx[0, :-1], float(tp))
 
     def evaluate(self, x, t) -> ChainEvaluation:
-        """All level values plus top-level derivatives in a single pass."""
+        """Levels 1..n+1 plus the top level's derivatives in a single pass."""
         x = self._check_state(x)
+        n = self.order
         if self._jets1 is None:
-            levels = self._lifted(self.order, x, t)
+            levels = self._lifted(n, x, t)
             values = np.array([unwrap(h) for h in levels])
             gradient, time_partial = _derivatives(levels[-1])
             grad1, _ = _derivatives(levels[0])
+            next_level = self._form(n + 1, levels[-1], tuple(x) + (float(t),))
         else:
-            _, stack = self._coefficients(self.order, float(t))
+            _, stack = self._coefficients(n + 1, float(t))
             xt = np.concatenate((x, _ONE))
-            hx = stack @ xt  # H_i x~ of every level, then dH_n/dt x~
+            hx = stack @ xt  # H_i x~ of levels 1..n+1, then dH_n/dt x~
             quad = 0.5 * (hx @ xt)
-            values, time_partial = quad[:-1], float(quad[-1])
-            gradient, grad1 = hx[-2, :-1], hx[0, :-1]
+            values, next_level, time_partial = quad[:n], quad[n], quad[-1]
+            gradient, grad1 = hx[n - 1, :-1], hx[0, :-1]
         m = self.system.axes
         return ChainEvaluation(
             values=values,
             gradient=gradient,
-            time_partial=time_partial,
+            time_partial=float(time_partial),
             drift_rate=float(gradient[:-m] @ x[m:]),  # gradient . (A x)
             level1_gradient_norm=math.sqrt(float(grad1 @ grad1)),
+            next_level=float(next_level),
         )
 
     def validate_initialization(self, x0, t0):
@@ -612,9 +609,9 @@ def _derivatives(h):
 
 
 def _stack(jets):
-    """(H_1 .. H_n, dH_n/dt) from the jets of all n levels, along the
-    level axis; any axes before it (the held instants) are kept."""
-    return np.concatenate((jets[..., 0, :, :], jets[..., -1:, 1, :, :]), axis=-3)
+    """(H_1 .. H_{n+1}, dH_n/dt) from the jets of all n+1 levels, along
+    the level axis; any axes before it (the held instants) are kept."""
+    return np.concatenate((jets[..., 0, :, :], jets[..., -2:-1, 1, :, :]), axis=-3)
 
 
 def auto_gains(

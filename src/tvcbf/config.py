@@ -181,6 +181,11 @@ class _Section:
     def error(self, key, line, detail):
         return ConfigError(f"bad value for {key!r} in [{self.name}]: {detail}", line=line)
 
+    def check(self, key, ok, detail):
+        """Refuse the value of ``key`` at its line unless ``ok``."""
+        if not ok:
+            raise self.error(key, self.lines.get(key), detail)
+
     def _convert(self, key, conv, default, label):
         value, line = self.pop(key)
         if value is None:
@@ -311,10 +316,13 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse a config document into an :class:`ExperimentConfig`.
 
     Raises ConfigError with a line number for structural problems and
-    bad values, for a ``levels`` or ``smoothing`` list whose length is
-    not the system order or that holds a non-positive entry, and for
-    the checks that the system, the barrier and ``Scenario`` make of
-    their keys (an ``order`` below 2, a non-positive ``radius``, a
+    bad values: a ``levels``, ``smoothing`` or nominal ``gains`` list
+    whose length is not the system order; a non-positive level gain,
+    smoothing constant, ``margin`` or ``last_level``; an
+    ``exponent_factor`` below 1; a negative ``noise_amplitude``; and the
+    checks that the gain function, the system, the barrier and
+    ``Scenario`` make of their keys (a non-positive ``power`` or
+    ``rate``, an ``order`` below 2, a non-positive ``radius``, a
     ``center`` or ``normal`` longer than the state, a ``dt`` that does
     not divide the span, an ``x0`` of the wrong length).  Such an error
     names the line of the key it concerns; one that concerns a key the
@@ -340,6 +348,11 @@ def parse_config(text: str) -> ExperimentConfig:
     exponent_factor = gain_sec.get_float("exponent_factor", 1.0)
     margin = gain_sec.get_float("margin", 0.1)
     last_level = gain_sec.get_float("last_level", 1.0)
+    gain_sec.check(
+        "exponent_factor", exponent_factor >= 1.0, f"must be >= 1, got {exponent_factor}"
+    )
+    gain_sec.check("margin", margin > 0.0, f"must be positive, got {margin}")
+    gain_sec.check("last_level", last_level > 0.0, f"must be positive, got {last_level}")
     gain_params = {}
     for key in ("power", "scale", "rate", "terminal_time"):
         value, line = gain_sec.pop(key)
@@ -357,6 +370,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise gain_sec.error(
                 key, line, f"expected a finite number, got {value!r}"
             ) from None
+    try:
+        function = gain_function(kind, **gain_params)
+    except TvcbfError as exc:
+        raise ConfigError(str(exc), line=gain_sec.line_of(exc)) from exc
     if levels_raw == "auto":
         levels = None
     else:
@@ -368,32 +385,28 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"got {levels_raw!r}",
                 line=levels_line,
             ) from None
-        if len(levels) != order:
-            raise ConfigError(
-                f"levels lists {len(levels)} gains, system order is {order}",
-                line=levels_line,
-            )
-        if any(v <= 0.0 for v in levels):
-            raise ConfigError(
-                f"level gains must be positive, got {levels}", line=levels_line
-            )
+        gain_sec.check(
+            "levels",
+            len(levels) == order,
+            f"levels lists {len(levels)} gains, system order is {order}",
+        )
+        gain_sec.check(
+            "levels", all(v > 0.0 for v in levels), f"must be positive, got {levels}"
+        )
 
     bar_sec = _section(sections, "barrier")
     bar_kind = bar_sec.get_word("kind", ("circle", "halfplane", "polynomial"), "circle")
     smoothing = bar_sec.get_floats("smoothing", (0.2,))
     if len(smoothing) == 1:
         smoothing = smoothing * order
-    elif len(smoothing) != order:
-        raise ConfigError(
-            f"smoothing lists {len(smoothing)} constants; give one, or one per "
-            f"level ({order})",
-            line=bar_sec.lines["smoothing"],
-        )
-    if any(v <= 0.0 for v in smoothing):
-        raise ConfigError(
-            f"smoothing constants must be positive, got {smoothing}",
-            line=bar_sec.lines["smoothing"],
-        )
+    bar_sec.check(
+        "smoothing",
+        len(smoothing) == order,
+        f"smoothing lists {len(smoothing)} constants; give one, or one per level ({order})",
+    )
+    bar_sec.check(
+        "smoothing", all(v > 0.0 for v in smoothing), f"must be positive, got {smoothing}"
+    )
     include_tp = bar_sec.get_bool("include_time_partial", True)
     try:
         if bar_kind == "circle":
@@ -424,6 +437,9 @@ def parse_config(text: str) -> ExperimentConfig:
     dist_sec = _section(sections, "disturbance")
     enabled = dist_sec.get_bool("enabled", False)
     noise_amplitude = dist_sec.get_float("noise_amplitude", 0.0)
+    dist_sec.check(
+        "noise_amplitude", noise_amplitude >= 0.0, f"must be nonnegative, got {noise_amplitude}"
+    )
     noise_range = dist_sec.get_word("noise_range", ("unit", "symmetric"), "unit")
     channel_entries = {}
     for key, (value, line) in dist_sec.raw_items():
@@ -463,6 +479,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"got {nominal_raw!r}",
                 line=nominal_line,
             ) from None
+        nom_sec.check(
+            "gains",
+            len(nominal_gains) == order,
+            f"lists {len(nominal_gains)} gains; give one per level ({order})",
+        )
 
     run_sec = _section(sections, "run")
     mode = run_sec.get_word("mode", MODES, "srcbf")
@@ -480,7 +501,7 @@ def parse_config(text: str) -> ExperimentConfig:
             oracle=oracle,
             x0=x0,
             goal=goal,
-            gain_function=gain_function(kind, **gain_params),
+            gain_function=function,
             mode=mode,
             barrier_gains=levels,
             auto_margin=margin,

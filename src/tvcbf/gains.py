@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import autodiff
-from .errors import DomainError, ParameterError, UnsafeInitializationError
+from .errors import DomainError, ParameterError, UnsafeInitializationError, _about
 
 __all__ = [
     "GainFunction",
@@ -43,6 +43,14 @@ class GainFunction:
     def _check_time(self, t):
         if float(t) < 0.0:
             raise DomainError(f"gain function queried at t={float(t)} < 0")
+
+    def _check_positive(self, *fields):
+        """Refuse non-positive parameters, tagged with the ones at fault."""
+        bad = [f for f in fields if getattr(self, f) <= 0.0]
+        if bad:
+            needs = " and ".join(f"{f} > 0" for f in fields)
+            got = ", ".join(f"{f}={getattr(self, f)}" for f in fields)
+            raise _about(ParameterError(f"{self.kind} gain needs {needs}, got {got}"), *bad)
 
     def value(self, t):
         raise NotImplementedError
@@ -98,8 +106,7 @@ class PolynomialGain(GainFunction):
     kind = "polynomial"
 
     def __post_init__(self):
-        if self.power <= 0.0:
-            raise ParameterError(f"polynomial gain needs power > 0, got {self.power}")
+        self._check_positive("power")
 
     def value(self, t):
         self._check_time(t)
@@ -124,11 +131,7 @@ class ExponentialGain(GainFunction):
     kind = "exponential"
 
     def __post_init__(self):
-        if self.scale <= 0.0 or self.rate <= 0.0:
-            raise ParameterError(
-                f"exponential gain needs scale > 0 and rate > 0, got "
-                f"scale={self.scale}, rate={self.rate}"
-            )
+        self._check_positive("scale", "rate")
 
     def value(self, t):
         self._check_time(t)
@@ -157,11 +160,7 @@ class PrescribedTimeGain(GainFunction):
     kind = "prescribed_time"
 
     def __post_init__(self):
-        if self.scale <= 0.0 or self.terminal_time <= 0.0:
-            raise ParameterError(
-                f"prescribed-time gain needs scale > 0 and terminal_time > 0, "
-                f"got scale={self.scale}, terminal_time={self.terminal_time}"
-            )
+        self._check_positive("scale", "terminal_time")
 
     def _check_time(self, t):
         super()._check_time(t)

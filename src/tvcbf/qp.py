@@ -4,10 +4,13 @@ The filter solves
 
     min |u - u_no|^2   s.t.   slack(x, t, u) >= 0
 
-where the slack is affine in u.  With a single constraint the KKT
-system collapses to a branch: keep the nominal input when it already
-satisfies the constraint, otherwise project it onto the constraint
-boundary along the constraint row.
+where the slack is affine in u: the chain's level n+1, plus the time
+partial of level n when the chain includes it, plus the input term
+d(level n)/dx . B u, whose row is the gradient's last block.  The chain
+evaluation carries every part, so the filter forms no level itself.
+With a single constraint the KKT system collapses to a branch: keep
+the nominal input when it already satisfies the constraint, otherwise
+project it onto the constraint boundary along the constraint row.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "FilterDecision",
     "safety_filter",
     "apply_filter",
-    "qp_oracle",
 ]
 
 DEGENERATE_ROW_NORM = 1e-9
@@ -46,21 +48,13 @@ class FilterDecision:
     offset: float
 
 
-def _constraint_parts(chain: BarrierChain, evaluation, t):
+def _constraint_parts(chain: BarrierChain, evaluation):
     """Constraint row and u-independent offset from a chain evaluation."""
-    m = chain.axes
-    gradient = evaluation.gradient
-    row = gradient[-m:].copy()
-    offset = evaluation.drift_rate
+    row = evaluation.gradient[-chain.axes :].copy()
+    offset = evaluation.next_level
     if chain.include_time_partial:
         offset += evaluation.time_partial
-    if chain.robust:
-        # robust_margin, whose checks of mu and theta the chain has made
-        mu, theta = chain.smoothing[-1], chain.disturbance_bound
-        offset -= float(gradient @ gradient) / (4.0 * mu) + mu * theta * theta
-    # gain * upsilon * h_n, with gain * upsilon taken once per instant
-    offset += chain._top_scale(t) * float(evaluation.values[-1])
-    return row, float(offset)
+    return row, offset
 
 
 def _check_input(chain: BarrierChain, u_no) -> np.ndarray:
@@ -72,7 +66,7 @@ def _check_input(chain: BarrierChain, u_no) -> np.ndarray:
     return u_no
 
 
-def apply_filter(chain: BarrierChain, evaluation, t, u_no) -> FilterDecision:
+def apply_filter(chain: BarrierChain, evaluation, u_no) -> FilterDecision:
     """Filter step for callers that already hold the chain evaluation.
 
     Raises InfeasibleConstraintError when the constraint is violated
@@ -80,7 +74,7 @@ def apply_filter(chain: BarrierChain, evaluation, t, u_no) -> FilterDecision:
     can repair it.
     """
     u_no = _check_input(chain, u_no)
-    row, offset = _constraint_parts(chain, evaluation, t)
+    row, offset = _constraint_parts(chain, evaluation)
     slack = float(row @ u_no) + offset
     if slack >= 0.0:
         return FilterDecision(u_no.copy(), slack, "passthrough", row, offset)
@@ -96,23 +90,4 @@ def apply_filter(chain: BarrierChain, evaluation, t, u_no) -> FilterDecision:
 
 def safety_filter(chain: BarrierChain, x, t, u_no) -> FilterDecision:
     """Minimally correct u_no so the top-level constraint holds."""
-    return apply_filter(chain, chain.evaluate(x, t), t, u_no)
-
-
-def qp_oracle(u_no, row, rhs) -> np.ndarray:
-    """Reference solution of min |u - u_no|^2 s.t. row . u >= rhs.
-
-    Independent of the filter's branch logic: always projects onto the
-    halfspace.  Used to cross-check the closed form.
-    """
-    u_no = np.asarray(u_no, dtype=float)
-    row = np.asarray(row, dtype=float)
-    gap = float(rhs) - float(row @ u_no)
-    if gap <= 0.0:
-        return u_no.copy()
-    row_sq = float(row @ row)
-    if row_sq == 0.0:
-        raise InfeasibleConstraintError(
-            f"no input satisfies row . u >= {rhs} with a zero row"
-        )
-    return u_no + row * (gap / row_sq)
+    return apply_filter(chain, chain.evaluate(x, t), u_no)

@@ -394,7 +394,7 @@ def run_scenario(scenario: Scenario) -> Trajectory:
                         u_no, 0.0, "nominal", np.zeros(m), 0.0
                     )
                 else:
-                    decision = apply_filter(chain, ev, t, u_no)
+                    decision = apply_filter(chain, ev, u_no)
             except (
                 InfeasibleConstraintError,
                 NumericalBlowupError,

@@ -254,6 +254,7 @@ def _assert_evaluations_equal(a, b):
     assert a.time_partial == b.time_partial
     assert a.drift_rate == b.drift_rate
     assert a.level1_gradient_norm == b.level1_gradient_norm
+    assert a.next_level == b.next_level
 
 
 def test_reused_instant_matches_fresh_chains():
@@ -342,7 +343,7 @@ def test_held_block_matches_single_instants(order):
                 times = [0.05 + k * 0.004 for k in range(200)]
                 xs = rng.uniform(-3.0, 3.0, size=(200, system.dim))
                 want = [
-                    (single._coefficients(order, t), single.evaluate(x, t))
+                    (single._coefficients(order + 1, t), single.evaluate(x, t))
                     for t, x in zip(times, xs)
                 ]
                 for count in (1, 63, 64, 65, 200):
@@ -350,7 +351,7 @@ def test_held_block_matches_single_instants(order):
                     for start in range(0, count, HOLD_BLOCK):
                         stop = min(start + HOLD_BLOCK, count)
                         held.hold(times[start:stop])
-                        # the jets of every level and the evaluation stack,
+                        # the jets of levels 1..n+1 and the evaluation stack,
                         # each stacked over the instants
                         _, jets, stacks = held._held
                         for item, part in ((jets, 0), (stacks, 1)):
@@ -609,6 +610,7 @@ def test_closed_form_matches_lifted_path(order):
                     _assert_same(
                         ev.level1_gradient_norm, ref.level1_gradient_norm
                     )
+                    _assert_same(ev.next_level, ref.next_level)
                     for i in range(1, order + 1):
                         level, want = chain.eval_level(i, x, t), lifted.eval_level(
                             i, x, t
@@ -728,7 +730,8 @@ def test_polynomial_barrier_chain_matches_finite_differences():
 
 
 def _symbolic_chain(order, levels, mus, theta, exponent_factor, center, radius):
-    """Rebuild the recursion in sympy, independently of the package."""
+    """Rebuild the recursion in sympy, independently of the package:
+    level n's value, gradient and time partial, and level n+1."""
     m = 2
     dim = order * m
     xs = sp.symbols(f"x0:{dim}")
@@ -737,18 +740,22 @@ def _symbolic_chain(order, levels, mus, theta, exponent_factor, center, radius):
     h = sp.Rational(1, 2) * (
         (xs[0] - center[0]) ** 2 + (xs[1] - center[1]) ** 2 - radius**2
     )
-    for i in range(2, order + 1):
+    hs = [h]
+    for i in range(2, order + 2):
         grad = [sp.diff(h, v) for v in xs]
         lf = sum(g * a for g, a in zip(grad, drift))
         lam = sum(g**2 for g in grad) / (4 * mus[i - 2]) + mus[i - 2] * theta**2
         ups = (1 + t) ** (exponent_factor * (i - 1))
         h = levels[i - 2] * ups * h + lf - lam
-    grad = [sp.diff(h, v) for v in xs]
+        hs.append(h)
+    top = hs[order - 1]
+    grad = [sp.diff(top, v) for v in xs]
     args = list(xs) + [t]
     return (
-        sp.lambdify(args, h, modules="numpy"),
+        sp.lambdify(args, top, modules="numpy"),
         sp.lambdify(args, grad, modules="numpy"),
-        sp.lambdify(args, sp.diff(h, t), modules="numpy"),
+        sp.lambdify(args, sp.diff(top, t), modules="numpy"),
+        sp.lambdify(args, hs[order], modules="numpy"),
     )
 
 
@@ -766,7 +773,7 @@ def test_chain_matches_symbolic_reference(order):
         center=(1.5, -0.5),
         exponent_factor=1.5,
     )
-    value_f, grad_f, tp_f = _symbolic_chain(
+    value_f, grad_f, tp_f, next_f = _symbolic_chain(
         order, levels, mus, theta, sp.Rational(3, 2), (1.5, -0.5), 1.0
     )
     rng = np.random.default_rng(47)
@@ -780,6 +787,9 @@ def test_chain_matches_symbolic_reference(order):
             ev.gradient, np.array(grad_f(*args), dtype=float), rtol=1e-9, atol=1e-9
         )
         assert np.isclose(ev.time_partial, float(tp_f(*args)), rtol=1e-9, atol=1e-9)
+        assert np.isclose(
+            chain.evaluate(x, t).next_level, float(next_f(*args)), rtol=1e-9, atol=1e-9
+        )
 
 
 # -- initialization -----------------------------------------------------

@@ -326,6 +326,9 @@ def test_scenario_errors_carry_the_line_of_their_key(text, line, detail):
         ("[barrier]\nsmoothing = 0.2, 0.3, 0.4\n", 2, "smoothing lists 3 constants"),
         ("[system]\norder = 4\n[barrier]\nsmoothing = 0.2, 0.3\n", 4,
          "one per level (4)"),
+        ("[nominal]\ngains = 1\n", 2, "lists 1 gains; give one per level (2)"),
+        ("[system]\norder = 2\n[nominal]\ngains = 1, 2, 3\n", 4,
+         "lists 3 gains; give one per level (2)"),
     ],
 )
 def test_level_lists_of_the_wrong_length_carry_their_line(text, line, detail):
@@ -349,6 +352,16 @@ def test_level_lists_of_the_wrong_length_carry_their_line(text, line, detail):
          "half-plane normal has 3 entries, state has only 2"),
         ("[system]\norder = 1\n", 2, "order must be an integer >= 2"),
         ("[system]\norder = 2\naxes = 0\n", 3, "axes must be an integer >= 1"),
+        ("[gains]\nkind = polynomial\npower = -1\n", 3, "needs power > 0"),
+        ("[gains]\nkind = exponential\nscale = 2\nrate = -1\n", 4,
+         "rate > 0, got scale=2.0, rate=-1.0"),
+        ("[gains]\nkind = prescribed_time\nterminal_time = 0\n", 3,
+         "terminal_time > 0"),
+        ("[gains]\nlast_level = -1\n", 2, "'last_level' in [gains]: must be positive"),
+        ("[gains]\nmargin = -0.5\n", 2, "'margin' in [gains]: must be positive"),
+        ("[gains]\nexponent_factor = 0.5\n", 2, "must be >= 1, got 0.5"),
+        ("[disturbance]\nenabled = true\nnoise_amplitude = -1\n", 3,
+         "must be nonnegative, got -1.0"),
     ],
 )
 def test_oracle_and_system_errors_carry_the_line_of_their_key(text, line, detail):

@@ -9,7 +9,9 @@ from tvcbf.barrier import BarrierChain, CircularObstacle, robust_margin
 from tvcbf.chain import IntegratorChain
 from tvcbf.errors import DimensionError, InfeasibleConstraintError
 from tvcbf.gains import GainSchedule, LinearGain
-from tvcbf.qp import apply_filter, qp_oracle, safety_filter
+from tvcbf.qp import apply_filter, safety_filter
+
+from qp_reference import qp_oracle
 
 
 def _make_chain(
@@ -96,7 +98,7 @@ def test_corrected_slack_reconstruction():
     x = np.array([1.8, -0.4, -1.2, 0.6])
     t = 0.9
     ev = chain.evaluate(x, t)
-    decision = apply_filter(chain, ev, t, np.array([-2.0, 1.0]))
+    decision = apply_filter(chain, ev, np.array([-2.0, 1.0]))
     expected_offset = (
         ev.drift_rate
         + ev.time_partial
@@ -203,8 +205,9 @@ def test_filter_checks_input_shape():
 
 
 def test_gain_value_taken_once_per_instant(monkeypatch):
-    # many states at one instant: the filter takes the top level's gain
-    # value once there, and every decision equals that of a fresh chain
+    # many states at one instant: the filter takes no gain value, since
+    # the chain evaluation carries level n+1, and every decision equals
+    # that of a fresh chain
     calls = []
     value = LinearGain.value
 
@@ -229,16 +232,16 @@ def test_gain_value_taken_once_per_instant(monkeypatch):
         evaluations = [chain.evaluate(x, t) for x in states]
         calls.clear()
         decisions = [
-            apply_filter(chain, ev, t, u_no) for ev, u_no in zip(evaluations, u_nos)
+            apply_filter(chain, ev, u_no) for ev, u_no in zip(evaluations, u_nos)
         ]
-        assert calls == [t]
+        assert calls == []
         for x, u_no, got in zip(states, u_nos, decisions):
             want = safety_filter(build(), x, t, u_no)
             assert np.array_equal(got.u, want.u) and got.slack == want.slack
             assert np.array_equal(got.row, want.row) and got.offset == want.offset
             assert got.branch == want.branch
-    # safety_filter at a new instant: the two gain powers of the chain's
-    # recursion and the filter's one value, for all 25 states
+    # safety_filter at a new instant: the three gain powers of the chain's
+    # recursion to level n+1, for all 25 states
     calls.clear()
     for x, u_no in zip(states, u_nos):
         safety_filter(chain, x, 0.7, u_no)

@@ -302,8 +302,8 @@ def test_gain_power_taken_once_per_instant_and_level(monkeypatch):
     )
     tr = run_scenario(s)
     assert tr.completed and tr.times.shape[0] == 151
-    assert len(calls) == 151 * 2
-    want = {(k, float(t)) for k in (1.0, 2.0) for t in tr.times}
+    assert len(calls) == 151 * 3
+    want = {(k, float(t)) for k in (1.0, 2.0, 3.0) for t in tr.times}
     assert sorted(calls) == sorted(want)
 
 
